@@ -164,6 +164,70 @@ let test_trace_jsonl_round_trip () =
   Alcotest.(check int) "all kinds exercised" (List.length Trace.all_kinds)
     (List.length sample_events)
 
+(* The decoder's error paths, checked against [to_json] output with one
+   member removed or altered. The optional members are listed here by
+   hand so the test stays independent of the codec's own schema. *)
+let test_trace_decode_errors () =
+  let optional_keys = function
+    | "invitation_admitted" | "message_rejected" -> [ "poll_id" ]
+    | "effort_charged" -> [ "poller"; "au"; "poll_id" ]
+    | "invariant_violated" -> [ "peer"; "au"; "poll_id" ]
+    | _ -> []
+  in
+  let enum_keys = [ "reason"; "path"; "outcome"; "role"; "phase" ] in
+  let members = function Json.Assoc fields -> fields | _ -> assert false in
+  let without key json =
+    Json.Assoc (List.filter (fun (k, _) -> k <> key) (members json))
+  in
+  let with_value key v json =
+    Json.Assoc (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) (members json))
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let expect_error what ~naming json =
+    match Trace.of_json json with
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+    | Error msg ->
+      if not (contains msg (Printf.sprintf "%S" naming)) then
+        Alcotest.failf "%s: error %S does not name %S" what msg naming
+  in
+  List.iteri
+    (fun i event ->
+      let time = 100. *. float_of_int (i + 1) in
+      let json = Trace.to_json ~time event in
+      let kind = Trace.kind event in
+      let optional = optional_keys kind in
+      List.iter
+        (fun (key, _) ->
+          let what = Printf.sprintf "%s without %s" kind key in
+          if key = "severity" then
+            (* Derived from the event on decode, never read. *)
+            Alcotest.(check bool) what true
+              (Trace.of_json (without key json) = Ok (time, event))
+          else if List.mem key optional then
+            List.iter
+              (fun altered ->
+                match Trace.of_json altered with
+                | Error msg -> Alcotest.failf "%s: %s" what msg
+                | Ok (_, decoded) ->
+                  Alcotest.(check bool)
+                    (what ^ " decodes to None")
+                    true
+                    (Trace.to_json ~time decoded = without key json))
+              [ without key json; with_value key Json.Null json ]
+          else expect_error what ~naming:key (without key json);
+          if List.mem key enum_keys then
+            expect_error (kind ^ " with unknown " ^ key) ~naming:key
+              (with_value key (Json.String "no_such_token") json))
+        (members json);
+      match Trace.of_json (with_value "kind" (Json.String "no_such_kind") json) with
+      | Ok _ -> Alcotest.failf "%s: unknown kind decoded" kind
+      | Error _ -> ())
+    sample_events
+
 let test_trace_sink_fanout () =
   let trace = Trace.create () in
   let seen_a = ref 0 and seen_b = ref 0 in
@@ -800,6 +864,7 @@ let () =
       ( "trace",
         [
           quick "jsonl round trip (all kinds)" test_trace_jsonl_round_trip;
+          quick "decode error paths" test_trace_decode_errors;
           quick "sink fan-out" test_trace_sink_fanout;
           quick "filter sink" test_trace_filter_sink;
           quick "severity order" test_trace_severity_order;

@@ -47,7 +47,7 @@ let with_temp_file f =
 (* Serial paper-scale run with a full debug trace: the trace digest pins
    event ordering, reference-list member order (Poll_sampled carries the
    whole reference list) and every payload byte. *)
-let case_run_trace () =
+let run_trace trace_format =
   let cfg = Scenario.config paper_short in
   with_temp_file (fun path ->
       let observe =
@@ -55,7 +55,7 @@ let case_run_trace () =
           Scenario.default_observe with
           Scenario.trace_out = Some path;
           trace_level = Lockss.Trace.Debug;
-          trace_format = `Jsonl;
+          trace_format;
         }
       in
       let summary =
@@ -65,6 +65,13 @@ let case_run_trace () =
       let trace_digest = Digest.to_hex (Digest.file trace_path) in
       Sys.remove trace_path;
       summary_string summary ^ "\ntrace:" ^ trace_digest)
+
+let case_run_trace () = run_trace `Jsonl
+
+(* The same run through the binary sink: pins the [.ntrace] bytes —
+   intern ids, atom order and record framing — independently of the
+   JSONL digest above. *)
+let case_run_trace_binary () = run_trace `Binary
 
 (* The same multi-run sweep with 1 and 2 worker domains must agree with
    each other and with the pinned golden (the Runner determinism
@@ -142,6 +149,7 @@ let cases =
     ("run-attack", case_run_attack);
     ("chaos", case_chaos);
     ("soak", case_soak);
+    ("run-trace-binary", case_run_trace_binary);
   ]
 
 (* -- Golden plumbing ----------------------------------------------------- *)

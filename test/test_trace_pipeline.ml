@@ -59,9 +59,23 @@ let sample_events =
       };
     Trace.Effort_received
       { peer = 3; from_ = 5; phase = Trace.Voting; au = 1; poll_id = 7; seconds = 12.25 };
+    Trace.Message_rejected
+      {
+        peer = 3;
+        from_ = 5;
+        au = 1;
+        poll_id = None;
+        msg_kind = "vote";
+        reason = Trace.Stale_closed;
+      };
     Trace.Fault_dropped { src = 3; dst = 5 };
     Trace.Fault_duplicated { src = 3; dst = 5 };
     Trace.Fault_delayed { src = 3; dst = 5; extra = 0.25 };
+    Trace.Partition_dropped { src = 3; dst = 5 };
+    Trace.Fault_corrupted { src = 3; dst = 5 };
+    Trace.Fault_replayed { src = 3; dst = 5; extra = 42.5 };
+    Trace.Fault_stale { src = 3; dst = 5; extra = 259200. };
+    Trace.Fault_stray { src = 9; dst = 5 };
     Trace.Node_crashed { node = 5 };
     Trace.Node_restarted { node = 5 };
     Trace.Invariant_violated
@@ -344,7 +358,9 @@ let test_view_agrees_with_json () =
         Alcotest.(check bool)
           (Trace.kind event ^ ": to_view = of_json . to_json")
           true (v = direct))
-    sample_events
+    sample_events;
+  Alcotest.(check int) "whole taxonomy" (List.length Trace.all_kinds)
+    (List.length sample_events)
 
 let test_write_jsonl_byte_parity () =
   (* The direct serializer must emit exactly the bytes of the generic
@@ -396,6 +412,41 @@ let test_binary_sink_byte_parity () =
                 sample_events);
           Alcotest.(check string) "identical files" (read_all generic_path)
             (read_all direct_path)))
+
+(* Minor words one call of [f] allocates per event, averaged over
+   repeated passes of [sample_events] after a warm-up pass has filled
+   intern tables, literal caches and buffers. [Gc.minor_words] is exact,
+   so the figure is deterministic. *)
+let words_per_event f =
+  let timed = List.mapi (fun i e -> (10. *. float_of_int (i + 1), e)) sample_events in
+  let rec feed = function
+    | [] -> ()
+    | (time, e) :: rest ->
+      f ~time e;
+      feed rest
+  in
+  feed timed;
+  let passes = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to passes do
+    feed timed
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (passes * List.length timed)
+
+let test_codec_allocation () =
+  (* Bounds pinned from the hand-written encoders these replaced; an
+     encoder may allocate less, never more. *)
+  let check name bound measured =
+    if measured > bound then
+      Alcotest.failf "%s allocates %.3f words/event, bound %.3f" name measured bound
+  in
+  with_temp_file (fun path ->
+      Sink.with_file path (fun sink ->
+          check "binary_sink" 2.243
+            (words_per_event (Trace.binary_sink (Btrace.writer sink)));
+          check "buffered_jsonl_sink" 5.28
+            (words_per_event (Trace.buffered_jsonl_sink sink))));
+  check "to_view" 20.32 (words_per_event (fun ~time e -> ignore (Trace.to_view ~time e)))
 
 let test_analyzer_parity_json_vs_view () =
   (* Feeding serialised JSON and feeding typed views must produce the
@@ -882,6 +933,7 @@ let () =
           tc "to_view agrees with of_json" `Quick test_view_agrees_with_json;
           tc "write_jsonl byte parity" `Quick test_write_jsonl_byte_parity;
           tc "binary sink byte parity" `Quick test_binary_sink_byte_parity;
+          tc "codec allocation per event" `Quick test_codec_allocation;
           tc "analyzer parity json vs view" `Quick test_analyzer_parity_json_vs_view;
         ] );
       ( "emit short-circuit",
