@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-perf bench-perf-test bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
 
 all: build
 
@@ -102,6 +102,21 @@ audit-smoke: build
 
 bench:
 	dune exec bench/main.exe
+
+# The repository benchmark declared in BENCHMARK.json: every workload at
+# seed 1 for the declared 30-second run length. Each run prints its
+# metrics by name and ends with one JSON verdict line; a failed oracle
+# stops the loop.
+PERF_WORKLOADS = steady-1k hostile-audited bootstrap-5k sweep-pool
+bench-perf:
+	for w in $(PERF_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 || exit 1; \
+	done
+
+# The benchmark's own test: every workload at toy size against its
+# oracle, metric names and units checked against BENCHMARK.json.
+bench-perf-test:
+	python3 perfbench/test_bench.py
 
 # Serial vs parallel wall-clock for the heavier sweeps, recorded as JSON.
 # CI arms the multicore criteria through BENCH_PARALLEL_FLAGS:

@@ -1,34 +1,57 @@
 module Json = Obs.Json
 
+(* -- Tokens ------------------------------------------------------------- *)
+
+(* One static string of the encoding (an enum spelling, an event kind, a
+   severity or a member name) rendered once for every codec: its quoted
+   JSON literal and its interned binary atom. *)
+type token = { name : string; quoted : string; atom : Obs.Btrace.atom }
+
+let token name = { name; quoted = "\"" ^ name ^ "\""; atom = Obs.Btrace.atom name }
+
+(* An enum's token table, in declaration order: the one place its
+   spellings are written. [equal] finds a value's row; physical equality
+   decides for constant constructors and costs no runtime call. *)
+type 'a enum = { equal : 'a -> 'a -> bool; tokens : ('a * token) list }
+
+let enum ?(equal = ( == )) table =
+  { equal; tokens = List.map (fun (v, name) -> (v, token name)) table }
+
+(* Top-level recursion, not [List.find]: a closure capturing [v] would
+   allocate on every encoded event. *)
+let rec find equal v = function
+  | (v', t) :: rest -> if equal v' v then t else find equal v rest
+  | [] -> invalid_arg "Trace.token_of: value missing from its table"
+
+let token_of e v = find e.equal v e.tokens
+let to_string e v = (token_of e v).name
+
+let of_string e s =
+  List.find_map (fun (v, t) -> if String.equal t.name s then Some v else None) e.tokens
+
 (* -- Effort taxonomy ---------------------------------------------------- *)
 
 type effort_role = Loyal | Adversary
 
-let effort_role_to_string = function Loyal -> "loyal" | Adversary -> "adversary"
-
-let effort_role_of_string = function
-  | "loyal" -> Some Loyal
-  | "adversary" -> Some Adversary
-  | _ -> None
+let roles = enum [ (Loyal, "loyal"); (Adversary, "adversary") ]
+let effort_role_to_string = to_string roles
+let effort_role_of_string = of_string roles
 
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
 
-let effort_phase_to_string = function
-  | Admission -> "admission"
-  | Solicitation -> "solicitation"
-  | Voting -> "voting"
-  | Evaluation -> "evaluation"
-  | Repair -> "repair"
+let phases =
+  enum
+    [
+      (Admission, "admission");
+      (Solicitation, "solicitation");
+      (Voting, "voting");
+      (Evaluation, "evaluation");
+      (Repair, "repair");
+    ]
 
-let effort_phase_of_string = function
-  | "admission" -> Some Admission
-  | "solicitation" -> Some Solicitation
-  | "voting" -> Some Voting
-  | "evaluation" -> Some Evaluation
-  | "repair" -> Some Repair
-  | _ -> None
-
-let all_effort_phases = [ Admission; Solicitation; Voting; Evaluation; Repair ]
+let effort_phase_to_string = to_string phases
+let effort_phase_of_string = of_string phases
+let all_effort_phases = List.map fst phases.tokens
 
 (* -- Admission paths ---------------------------------------------------- *)
 
@@ -42,20 +65,19 @@ let admission_path_of_decision = function
   | `Unknown -> Admitted_unknown
   | `Known g -> Admitted_known g
 
-let admission_path_to_string = function
-  | Admitted_introduced -> "introduced"
-  | Admitted_unknown -> "unknown"
-  | Admitted_known Grade.Debt -> "known_debt"
-  | Admitted_known Grade.Even -> "known_even"
-  | Admitted_known Grade.Credit -> "known_credit"
+(* A known peer's path carries its grade: compared structurally. *)
+let admission_paths =
+  enum ~equal:( = )
+    [
+      (Admitted_introduced, "introduced");
+      (Admitted_unknown, "unknown");
+      (Admitted_known Grade.Debt, "known_debt");
+      (Admitted_known Grade.Even, "known_even");
+      (Admitted_known Grade.Credit, "known_credit");
+    ]
 
-let admission_path_of_string = function
-  | "introduced" -> Some Admitted_introduced
-  | "unknown" -> Some Admitted_unknown
-  | "known_debt" -> Some (Admitted_known Grade.Debt)
-  | "known_even" -> Some (Admitted_known Grade.Even)
-  | "known_credit" -> Some (Admitted_known Grade.Credit)
-  | _ -> None
+let admission_path_to_string = to_string admission_paths
+let admission_path_of_string = of_string admission_paths
 
 (* -- Reject reasons ------------------------------------------------------ *)
 
@@ -70,41 +92,23 @@ type reject_reason =
   | Stale_closed
   | Bad_block
 
-let reject_reason_to_string = function
-  | Bad_au -> "bad_au"
-  | Not_held -> "not_held"
-  | Unknown_poll -> "unknown_poll"
-  | Uninvited -> "uninvited"
-  | Wrong_state -> "wrong_state"
-  | Wrong_phase -> "wrong_phase"
-  | Unknown_session -> "unknown_session"
-  | Stale_closed -> "stale_closed"
-  | Bad_block -> "bad_block"
+let reject_reasons =
+  enum
+    [
+      (Bad_au, "bad_au");
+      (Not_held, "not_held");
+      (Unknown_poll, "unknown_poll");
+      (Uninvited, "uninvited");
+      (Wrong_state, "wrong_state");
+      (Wrong_phase, "wrong_phase");
+      (Unknown_session, "unknown_session");
+      (Stale_closed, "stale_closed");
+      (Bad_block, "bad_block");
+    ]
 
-let reject_reason_of_string = function
-  | "bad_au" -> Some Bad_au
-  | "not_held" -> Some Not_held
-  | "unknown_poll" -> Some Unknown_poll
-  | "uninvited" -> Some Uninvited
-  | "wrong_state" -> Some Wrong_state
-  | "wrong_phase" -> Some Wrong_phase
-  | "unknown_session" -> Some Unknown_session
-  | "stale_closed" -> Some Stale_closed
-  | "bad_block" -> Some Bad_block
-  | _ -> None
-
-let all_reject_reasons =
-  [
-    Bad_au;
-    Not_held;
-    Unknown_poll;
-    Uninvited;
-    Wrong_state;
-    Wrong_phase;
-    Unknown_session;
-    Stale_closed;
-    Bad_block;
-  ]
+let reject_reason_to_string = to_string reject_reasons
+let reject_reason_of_string = of_string reject_reasons
+let all_reject_reasons = List.map fst reject_reasons.tokens
 
 type event =
   | Poll_started of { poller : Ids.Identity.t; au : Ids.Au_id.t; poll_id : int; inner_candidates : int }
@@ -364,529 +368,530 @@ let severity = function
   | Invariant_violated _ ->
     Warn
 
-let severity_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
+let severities = enum [ (Debug, "debug"); (Info, "info"); (Warn, "warn") ]
+let severity_to_string = to_string severities
 
 let severity_of_string s =
   match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | _ -> None
+  | "warning" -> Some Warn
+  | s -> of_string severities s
 
-let kind = function
-  | Poll_started _ -> "poll_started"
-  | Solicitation_sent _ -> "solicitation_sent"
-  | Invitation_dropped _ -> "invitation_dropped"
-  | Invitation_admitted _ -> "invitation_admitted"
-  | Invitation_refused _ -> "invitation_refused"
-  | Invitation_accepted _ -> "invitation_accepted"
-  | Vote_sent _ -> "vote_sent"
-  | Poll_sampled _ -> "poll_sampled"
-  | Evaluation_started _ -> "evaluation_started"
-  | Repair_applied _ -> "repair_applied"
-  | Poll_concluded _ -> "poll_concluded"
-  | Effort_charged _ -> "effort_charged"
-  | Effort_received _ -> "effort_received"
-  | Message_rejected _ -> "message_rejected"
-  | Fault_dropped _ -> "fault_dropped"
-  | Fault_duplicated _ -> "fault_duplicated"
-  | Fault_delayed _ -> "fault_delayed"
-  | Partition_dropped _ -> "partition_dropped"
-  | Fault_corrupted _ -> "fault_corrupted"
-  | Fault_replayed _ -> "fault_replayed"
-  | Fault_stale _ -> "fault_stale"
-  | Fault_stray _ -> "fault_stray"
-  | Node_crashed _ -> "node_crashed"
-  | Node_restarted _ -> "node_restarted"
-  | Invariant_violated _ -> "invariant_violated"
+let drop_reasons =
+  enum
+    [
+      (Admission.Refractory, "refractory");
+      (Admission.Random_drop, "random_drop");
+      (Admission.Known_rate_limited, "known_rate_limited");
+    ]
 
-let all_kinds =
-  [
-    "poll_started";
-    "solicitation_sent";
-    "invitation_dropped";
-    "invitation_admitted";
-    "invitation_refused";
-    "invitation_accepted";
-    "vote_sent";
-    "poll_sampled";
-    "evaluation_started";
-    "repair_applied";
-    "poll_concluded";
-    "effort_charged";
-    "effort_received";
-    "message_rejected";
-    "fault_dropped";
-    "fault_duplicated";
-    "fault_delayed";
-    "partition_dropped";
-    "fault_corrupted";
-    "fault_replayed";
-    "fault_stale";
-    "fault_stray";
-    "node_crashed";
-    "node_restarted";
-    "invariant_violated";
-  ]
+let outcomes =
+  enum
+    [
+      (Metrics.Success, "success");
+      (Metrics.Inquorate, "inquorate");
+      (Metrics.Alarmed, "alarmed");
+    ]
 
-let involves event id =
-  let eq = Ids.Identity.equal id in
-  match event with
-  | Poll_started { poller; _ } | Evaluation_started { poller; _ } -> eq poller
-  | Repair_applied { poller; _ } | Poll_concluded { poller; _ } -> eq poller
-  | Poll_sampled { poller; invited; _ } -> eq poller || List.exists eq invited
-  | Solicitation_sent { poller; voter; _ } -> eq poller || eq voter
-  | Invitation_dropped { voter; claimed; _ }
-  | Invitation_admitted { voter; claimed; _ } ->
-    eq voter || eq claimed
-  | Invitation_refused { voter; poller; _ }
-  | Invitation_accepted { voter; poller; _ }
-  | Vote_sent { voter; poller; _ } ->
-    eq voter || eq poller
-  | Effort_charged { peer; poller; _ } ->
-    eq peer || (match poller with Some p -> eq p | None -> false)
-  | Effort_received { peer; from_; _ } | Message_rejected { peer; from_; _ } ->
-    eq peer || eq from_
-  | Fault_dropped { src; dst } | Fault_duplicated { src; dst }
-  | Fault_delayed { src; dst; _ }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_replayed { src; dst; _ }
-  | Fault_stale { src; dst; _ }
-  | Fault_stray { src; dst } ->
-    eq src || eq dst
-  | Node_crashed { node } | Node_restarted { node } -> eq node
-  | Invariant_violated { peer; _ } -> (
-    match peer with Some p -> eq p | None -> false)
+(* -- Event schema ------------------------------------------------------- *)
 
-let au_of = function
-  | Poll_started { au; _ }
-  | Solicitation_sent { au; _ }
-  | Invitation_dropped { au; _ }
-  | Invitation_admitted { au; _ }
-  | Invitation_refused { au; _ }
-  | Invitation_accepted { au; _ }
-  | Vote_sent { au; _ }
-  | Poll_sampled { au; _ }
-  | Evaluation_started { au; _ }
-  | Repair_applied { au; _ }
-  | Poll_concluded { au; _ }
-  | Effort_received { au; _ }
-  | Message_rejected { au; _ } ->
-    Some au
-  | Effort_charged { au; _ } | Invariant_violated { au; _ } -> au
-  | Fault_dropped _ | Fault_duplicated _ | Fault_delayed _ | Partition_dropped _
-  | Fault_corrupted _ | Fault_replayed _ | Fault_stale _ | Fault_stray _
-  | Node_crashed _ | Node_restarted _ ->
-    None
+(* A record member: its name and atom ([id]), its JSONL prefix
+   (separator, quoted name, colon), whether its value names a peer
+   taking part in the event (what {!involves} matches), and whether the
+   analyzers read it ({!to_view}). *)
+type key = { id : token; prefix : string; ident : bool; viewed : bool }
 
-(* -- JSON round-trip --------------------------------------------------- *)
+let key ?(ident = false) name =
+  let id = token name in
+  { id; prefix = "," ^ id.quoted ^ ":"; ident; viewed = Obs.View.reads name }
 
-let drop_reason_to_string = function
-  | Admission.Refractory -> "refractory"
-  | Admission.Random_drop -> "random_drop"
-  | Admission.Known_rate_limited -> "known_rate_limited"
+(* The header every record opens with; ["t"] also opens the JSON object. *)
+let k_t = { (key "t") with prefix = "{\"t\":" }
+let k_severity = key "severity"
+let k_kind = key "kind"
+let k_poller = key ~ident:true "poller"
+let k_voter = key ~ident:true "voter"
+let k_claimed = key ~ident:true "claimed"
+let k_peer = key ~ident:true "peer"
+let k_from = key ~ident:true "from"
+let k_src = key ~ident:true "src"
+let k_dst = key ~ident:true "dst"
+let k_node = key ~ident:true "node"
+let k_invited = key ~ident:true "invited"
 
-let drop_reason_of_string = function
-  | "refractory" -> Some Admission.Refractory
-  | "random_drop" -> Some Admission.Random_drop
-  | "known_rate_limited" -> Some Admission.Known_rate_limited
-  | _ -> None
+(* The list a poll sampled from: being on it is not taking part. *)
+let k_reference = key "reference"
+let k_au = key "au"
+let k_poll_id = key "poll_id"
+let k_inner_candidates = key "inner_candidates"
+let k_attempt = key "attempt"
+let k_reason = key "reason"
+let k_path = key "path"
+let k_votes = key "votes"
+let k_block = key "block"
+let k_version = key "version"
+let k_clean = key "clean"
+let k_outcome = key "outcome"
+let k_role = key "role"
+let k_phase = key "phase"
+let k_seconds = key "seconds"
+let k_extra = key "extra"
+let k_msg_kind = key "msg_kind"
+let k_invariant = key "invariant"
+let k_detail = key "detail"
 
-let outcome_to_string = function
-  | Metrics.Success -> "success"
-  | Metrics.Inquorate -> "inquorate"
-  | Metrics.Alarmed -> "alarmed"
+(* The decoding side of the schema: typed member lookups on one
+   serialised record, each raising [Malformed] naming the member it
+   could not read. *)
+type reader = {
+  int : key -> int;
+  opt_int : key -> int option;
+  float : key -> float;
+  bool : key -> bool;
+  ids : key -> Ids.Identity.t list;
+  str : key -> string;
+  tok : 'a. 'a enum -> key -> 'a;
+}
 
-let outcome_of_string = function
-  | "success" -> Some Metrics.Success
-  | "inquorate" -> Some Metrics.Inquorate
-  | "alarmed" -> Some Metrics.Alarmed
-  | _ -> None
+exception Malformed of string
 
-let to_json ~time event =
-  let opt name = function None -> [] | Some v -> [ (name, Json.Int v) ] in
-  let fields =
-    match event with
-    | Poll_started { poller; au; poll_id; inner_candidates } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("inner_candidates", Json.Int inner_candidates);
-      ]
-    | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-      [
-        ("poller", Json.Int poller);
-        ("voter", Json.Int voter);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("attempt", Json.Int attempt);
-      ]
-    | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-      [
-        ("voter", Json.Int voter);
-        ("claimed", Json.Int claimed);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("reason", Json.String (drop_reason_to_string reason));
-      ]
-    | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-      [ ("voter", Json.Int voter); ("claimed", Json.Int claimed); ("au", Json.Int au) ]
-      @ opt "poll_id" poll_id
-      @ [ ("path", Json.String (admission_path_to_string path)) ]
-    | Invitation_refused { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Invitation_accepted { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Vote_sent { voter; poller; au; poll_id } ->
-      [
-        ("voter", Json.Int voter);
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-      ]
-    | Poll_sampled { poller; au; poll_id; invited; reference } ->
-      let ids xs = Json.List (List.map (fun i -> Json.Int i) xs) in
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("invited", ids invited);
-        ("reference", ids reference);
-      ]
-    | Evaluation_started { poller; au; poll_id; votes } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("votes", Json.Int votes);
-      ]
-    | Repair_applied { poller; au; poll_id; block; version; clean } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("block", Json.Int block);
-        ("version", Json.Int version);
-        ("clean", Json.Bool clean);
-      ]
-    | Poll_concluded { poller; au; poll_id; outcome } ->
-      [
-        ("poller", Json.Int poller);
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("outcome", Json.String (outcome_to_string outcome));
-      ]
-    | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-      [
-        ("peer", Json.Int peer);
-        ("role", Json.String (effort_role_to_string role));
-        ("phase", Json.String (effort_phase_to_string phase));
-      ]
-      @ opt "poller" poller @ opt "au" au @ opt "poll_id" poll_id
-      @ [ ("seconds", Json.Float seconds) ]
-    | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-      [
-        ("peer", Json.Int peer);
-        ("from", Json.Int from_);
-        ("phase", Json.String (effort_phase_to_string phase));
-        ("au", Json.Int au);
-        ("poll_id", Json.Int poll_id);
-        ("seconds", Json.Float seconds);
-      ]
-    | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-      [ ("peer", Json.Int peer); ("from", Json.Int from_); ("au", Json.Int au) ]
-      @ opt "poll_id" poll_id
-      @ [
-          ("msg_kind", Json.String msg_kind);
-          ("reason", Json.String (reject_reason_to_string reason));
-        ]
-    | Fault_dropped { src; dst }
-    | Fault_duplicated { src; dst }
-    | Partition_dropped { src; dst }
-    | Fault_corrupted { src; dst }
-    | Fault_stray { src; dst } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst) ]
-    | Fault_delayed { src; dst; extra }
-    | Fault_replayed { src; dst; extra }
-    | Fault_stale { src; dst; extra } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst); ("extra", Json.Float extra) ]
-    | Node_crashed { node } | Node_restarted { node } -> [ ("node", Json.Int node) ]
-    | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-      [ ("invariant", Json.String invariant) ]
-      @ opt "peer" peer @ opt "au" au @ opt "poll_id" poll_id
-      @ [ ("detail", Json.String detail) ]
-  in
-  Json.Assoc
-    ([
-       ("t", Json.Float time);
-       ("severity", Json.String (severity_to_string (severity event)));
-       ("kind", Json.String (kind event));
-     ]
-    @ fields)
+(* The kind table: each kind's name and decode arm, one row per
+   constructor in declaration order. *)
+let kinds : (string * (reader -> event)) array =
+  [|
+    ( "poll_started",
+      fun r ->
+        Poll_started
+          {
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            inner_candidates = r.int k_inner_candidates;
+          } );
+    ( "solicitation_sent",
+      fun r ->
+        Solicitation_sent
+          {
+            poller = r.int k_poller;
+            voter = r.int k_voter;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            attempt = r.int k_attempt;
+          } );
+    ( "invitation_dropped",
+      fun r ->
+        Invitation_dropped
+          {
+            voter = r.int k_voter;
+            claimed = r.int k_claimed;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            reason = r.tok drop_reasons k_reason;
+          } );
+    ( "invitation_admitted",
+      fun r ->
+        Invitation_admitted
+          {
+            voter = r.int k_voter;
+            claimed = r.int k_claimed;
+            au = r.int k_au;
+            poll_id = r.opt_int k_poll_id;
+            path = r.tok admission_paths k_path;
+          } );
+    ( "invitation_refused",
+      fun r ->
+        Invitation_refused
+          {
+            voter = r.int k_voter;
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+          } );
+    ( "invitation_accepted",
+      fun r ->
+        Invitation_accepted
+          {
+            voter = r.int k_voter;
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+          } );
+    ( "vote_sent",
+      fun r ->
+        Vote_sent
+          {
+            voter = r.int k_voter;
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+          } );
+    ( "poll_sampled",
+      fun r ->
+        Poll_sampled
+          {
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            invited = r.ids k_invited;
+            reference = r.ids k_reference;
+          } );
+    ( "evaluation_started",
+      fun r ->
+        Evaluation_started
+          {
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            votes = r.int k_votes;
+          } );
+    ( "repair_applied",
+      fun r ->
+        Repair_applied
+          {
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            block = r.int k_block;
+            version = r.int k_version;
+            clean = r.bool k_clean;
+          } );
+    ( "poll_concluded",
+      fun r ->
+        Poll_concluded
+          {
+            poller = r.int k_poller;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            outcome = r.tok outcomes k_outcome;
+          } );
+    ( "effort_charged",
+      fun r ->
+        Effort_charged
+          {
+            peer = r.int k_peer;
+            role = r.tok roles k_role;
+            phase = r.tok phases k_phase;
+            poller = r.opt_int k_poller;
+            au = r.opt_int k_au;
+            poll_id = r.opt_int k_poll_id;
+            seconds = r.float k_seconds;
+          } );
+    ( "effort_received",
+      fun r ->
+        Effort_received
+          {
+            peer = r.int k_peer;
+            from_ = r.int k_from;
+            phase = r.tok phases k_phase;
+            au = r.int k_au;
+            poll_id = r.int k_poll_id;
+            seconds = r.float k_seconds;
+          } );
+    ( "message_rejected",
+      fun r ->
+        Message_rejected
+          {
+            peer = r.int k_peer;
+            from_ = r.int k_from;
+            au = r.int k_au;
+            poll_id = r.opt_int k_poll_id;
+            msg_kind = r.str k_msg_kind;
+            reason = r.tok reject_reasons k_reason;
+          } );
+    ("fault_dropped", fun r -> Fault_dropped { src = r.int k_src; dst = r.int k_dst });
+    ( "fault_duplicated",
+      fun r -> Fault_duplicated { src = r.int k_src; dst = r.int k_dst } );
+    ( "fault_delayed",
+      fun r ->
+        Fault_delayed { src = r.int k_src; dst = r.int k_dst; extra = r.float k_extra } );
+    ( "partition_dropped",
+      fun r -> Partition_dropped { src = r.int k_src; dst = r.int k_dst } );
+    ("fault_corrupted", fun r -> Fault_corrupted { src = r.int k_src; dst = r.int k_dst });
+    ( "fault_replayed",
+      fun r ->
+        Fault_replayed { src = r.int k_src; dst = r.int k_dst; extra = r.float k_extra } );
+    ( "fault_stale",
+      fun r ->
+        Fault_stale { src = r.int k_src; dst = r.int k_dst; extra = r.float k_extra } );
+    ("fault_stray", fun r -> Fault_stray { src = r.int k_src; dst = r.int k_dst });
+    ("node_crashed", fun r -> Node_crashed { node = r.int k_node });
+    ("node_restarted", fun r -> Node_restarted { node = r.int k_node });
+    ( "invariant_violated",
+      fun r ->
+        Invariant_violated
+          {
+            invariant = r.str k_invariant;
+            peer = r.opt_int k_peer;
+            au = r.opt_int k_au;
+            poll_id = r.opt_int k_poll_id;
+            detail = r.str k_detail;
+          } );
+  |]
 
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name decode =
-    match Option.bind (Json.member name json) decode with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or malformed field %S" name)
-  in
-  let int name = field name Json.to_int in
-  let bool name = field name Json.to_bool in
-  (* Optional correlation fields are simply omitted when unknown; [Null]
-     is accepted too so hand-written traces can be explicit. *)
-  let opt_int name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok (Some i)
-      | None -> Error (Printf.sprintf "malformed optional field %S" name))
-  in
-  let int_list name =
-    field name (fun v ->
-        match v with
-        | Json.List items ->
-          let ints = List.filter_map Json.to_int items in
-          if List.length ints = List.length items then Some ints else None
-        | _ -> None)
-  in
-  let str name = field name Json.string_value in
-  let* time = field "t" Json.to_float in
-  let* kind = field "kind" Json.string_value in
-  let* event =
-    match kind with
-    | "poll_started" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* inner_candidates = int "inner_candidates" in
-      Ok (Poll_started { poller; au; poll_id; inner_candidates })
-    | "solicitation_sent" ->
-      let* poller = int "poller" in
-      let* voter = int "voter" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* attempt = int "attempt" in
-      Ok (Solicitation_sent { poller; voter; au; poll_id; attempt })
-    | "invitation_dropped" ->
-      let* voter = int "voter" in
-      let* claimed = int "claimed" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* reason =
-        field "reason" (fun v -> Option.bind (Json.string_value v) drop_reason_of_string)
-      in
-      Ok (Invitation_dropped { voter; claimed; au; poll_id; reason })
-    | "invitation_admitted" ->
-      let* voter = int "voter" in
-      let* claimed = int "claimed" in
-      let* au = int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* path =
-        field "path" (fun v -> Option.bind (Json.string_value v) admission_path_of_string)
-      in
-      Ok (Invitation_admitted { voter; claimed; au; poll_id; path })
-    | "invitation_refused" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Invitation_refused { voter; poller; au; poll_id })
-    | "invitation_accepted" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Invitation_accepted { voter; poller; au; poll_id })
-    | "vote_sent" ->
-      let* voter = int "voter" in
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      Ok (Vote_sent { voter; poller; au; poll_id })
-    | "poll_sampled" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* invited = int_list "invited" in
-      let* reference = int_list "reference" in
-      Ok (Poll_sampled { poller; au; poll_id; invited; reference })
-    | "evaluation_started" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* votes = int "votes" in
-      Ok (Evaluation_started { poller; au; poll_id; votes })
-    | "repair_applied" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* block = int "block" in
-      let* version = int "version" in
-      let* clean = bool "clean" in
-      Ok (Repair_applied { poller; au; poll_id; block; version; clean })
-    | "poll_concluded" ->
-      let* poller = int "poller" in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* outcome =
-        field "outcome" (fun v -> Option.bind (Json.string_value v) outcome_of_string)
-      in
-      Ok (Poll_concluded { poller; au; poll_id; outcome })
-    | "effort_charged" ->
-      let* peer = int "peer" in
-      let* role =
-        field "role" (fun v -> Option.bind (Json.string_value v) effort_role_of_string)
-      in
-      let* phase =
-        field "phase" (fun v -> Option.bind (Json.string_value v) effort_phase_of_string)
-      in
-      let* poller = opt_int "poller" in
-      let* au = opt_int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* seconds = field "seconds" Json.to_float in
-      Ok (Effort_charged { peer; role; phase; poller; au; poll_id; seconds })
-    | "effort_received" ->
-      let* peer = int "peer" in
-      let* from_ = int "from" in
-      let* phase =
-        field "phase" (fun v -> Option.bind (Json.string_value v) effort_phase_of_string)
-      in
-      let* au = int "au" in
-      let* poll_id = int "poll_id" in
-      let* seconds = field "seconds" Json.to_float in
-      Ok (Effort_received { peer; from_; phase; au; poll_id; seconds })
-    | "message_rejected" ->
-      let* peer = int "peer" in
-      let* from_ = int "from" in
-      let* au = int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* msg_kind = str "msg_kind" in
-      let* reason =
-        field "reason" (fun v -> Option.bind (Json.string_value v) reject_reason_of_string)
-      in
-      Ok (Message_rejected { peer; from_; au; poll_id; msg_kind; reason })
-    | "fault_dropped" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_dropped { src; dst })
-    | "fault_duplicated" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_duplicated { src; dst })
-    | "fault_delayed" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_delayed { src; dst; extra })
-    | "partition_dropped" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Partition_dropped { src; dst })
-    | "fault_corrupted" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_corrupted { src; dst })
-    | "fault_replayed" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_replayed { src; dst; extra })
-    | "fault_stale" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* extra = field "extra" Json.to_float in
-      Ok (Fault_stale { src; dst; extra })
-    | "fault_stray" ->
-      let* src = int "src" in
-      let* dst = int "dst" in
-      Ok (Fault_stray { src; dst })
-    | "node_crashed" ->
-      let* node = int "node" in
-      Ok (Node_crashed { node })
-    | "node_restarted" ->
-      let* node = int "node" in
-      Ok (Node_restarted { node })
-    | "invariant_violated" ->
-      let* invariant = str "invariant" in
-      let* peer = opt_int "peer" in
-      let* au = opt_int "au" in
-      let* poll_id = opt_int "poll_id" in
-      let* detail = str "detail" in
-      Ok (Invariant_violated { invariant; peer; au; poll_id; detail })
-    | other -> Error (Printf.sprintf "unknown event kind %S" other)
-  in
-  Ok (time, event)
+let kind_tokens = Array.map (fun (name, _) -> token name) kinds
+let decoders = Hashtbl.of_seq (Array.to_seq kinds)
 
-(* -- Analyzer views ----------------------------------------------------- *)
+(* Every constructor carries a record, so its block tag is its position
+   in the declaration, which is its row in [kinds]. A constructor
+   without a row fails the bounds check; rows out of order fail the
+   round-trip tests. *)
+let kind_token (event : event) = kind_tokens.(Obj.tag (Obj.repr event))
+let kind event = (kind_token event).name
+let all_kinds = Array.to_list (Array.map fst kinds)
 
-(* Mirrors [to_json] for the fields the analyzers consume, without
-   building any JSON. [Obs.View.of_json (to_json ~time e)] and
-   [to_view ~time e] must agree — test_trace_pipeline checks this for
-   the whole taxonomy. *)
-let to_view ~time event : Obs.View.t =
-  let kind = kind event in
-  match event with
+(* The encoding side of the schema: one callback per value shape, built
+   once per sink so that walking an event allocates nothing. *)
+type visitor = {
+  int : key -> int -> unit;
+  opt_int : key -> int option -> unit;
+  float : key -> float -> unit;
+  bool : key -> bool -> unit;
+  ids : key -> Ids.Identity.t list -> unit;
+  tok : key -> token -> unit;
+  str : key -> string -> unit;
+}
+
+(* The [opt_int] of a visitor that encodes a present optional member like
+   any other int and an absent one not at all. *)
+let present int k = function None -> () | Some i -> int k i
+
+(* Every event's payload members, in encoding order. *)
+let fields v = function
   | Poll_started { poller; au; poll_id; inner_candidates } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ~inner_candidates ()
-  | Solicitation_sent { poller; voter; au; poll_id; attempt = _ } ->
-    Obs.View.make ~kind ~time ~poller ~voter ~au ~poll_id ()
-  | Invitation_dropped { voter; claimed; au; poll_id; reason = _ } ->
-    Obs.View.make ~kind ~time ~voter ~claimed ~au ~poll_id ()
-  | Invitation_admitted { voter; claimed; au; poll_id; path = _ } ->
-    Obs.View.make ~kind ~time ~voter ~claimed ~au ?poll_id ()
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.int k_inner_candidates inner_candidates
+  | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
+    v.int k_poller poller;
+    v.int k_voter voter;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.int k_attempt attempt
+  | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
+    v.int k_voter voter;
+    v.int k_claimed claimed;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.tok k_reason (token_of drop_reasons reason)
+  | Invitation_admitted { voter; claimed; au; poll_id; path } ->
+    v.int k_voter voter;
+    v.int k_claimed claimed;
+    v.int k_au au;
+    v.opt_int k_poll_id poll_id;
+    v.tok k_path (token_of admission_paths path)
   | Invitation_refused { voter; poller; au; poll_id }
   | Invitation_accepted { voter; poller; au; poll_id }
   | Vote_sent { voter; poller; au; poll_id } ->
-    Obs.View.make ~kind ~time ~voter ~poller ~au ~poll_id ()
-  | Poll_sampled { poller; au; poll_id; invited = _; reference = _ } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ()
+    v.int k_voter voter;
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id
+  | Poll_sampled { poller; au; poll_id; invited; reference } ->
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.ids k_invited invited;
+    v.ids k_reference reference
   | Evaluation_started { poller; au; poll_id; votes } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ~votes ()
-  | Repair_applied { poller; au; poll_id; block = _; version = _; clean = _ } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id ()
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.int k_votes votes
+  | Repair_applied { poller; au; poll_id; block; version; clean } ->
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.int k_block block;
+    v.int k_version version;
+    v.bool k_clean clean
   | Poll_concluded { poller; au; poll_id; outcome } ->
-    Obs.View.make ~kind ~time ~poller ~au ~poll_id
-      ~outcome:(outcome_to_string outcome) ()
+    v.int k_poller poller;
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.tok k_outcome (token_of outcomes outcome)
   | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    Obs.View.make ~kind ~time ~peer ~role:(effort_role_to_string role)
-      ~phase:(effort_phase_to_string phase) ?poller ?au ?poll_id ~seconds ()
+    v.int k_peer peer;
+    v.tok k_role (token_of roles role);
+    v.tok k_phase (token_of phases phase);
+    v.opt_int k_poller poller;
+    v.opt_int k_au au;
+    v.opt_int k_poll_id poll_id;
+    v.float k_seconds seconds
   | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    Obs.View.make ~kind ~time ~peer ~from_
-      ~phase:(effort_phase_to_string phase)
-      ~au ~poll_id ~seconds ()
-  | Message_rejected { peer; from_; au; poll_id; msg_kind = _; reason = _ } ->
-    Obs.View.make ~kind ~time ~peer ~from_ ~au ?poll_id ()
-  | Fault_dropped _ | Fault_duplicated _ | Fault_delayed _ | Partition_dropped _
-  | Fault_corrupted _ | Fault_replayed _ | Fault_stale _ | Fault_stray _
-  | Node_crashed _ | Node_restarted _ ->
-    Obs.View.make ~kind ~time ()
-  | Invariant_violated { invariant = _; peer; au; poll_id; detail = _ } ->
-    Obs.View.make ~kind ~time ?peer ?au ?poll_id ()
+    v.int k_peer peer;
+    v.int k_from from_;
+    v.tok k_phase (token_of phases phase);
+    v.int k_au au;
+    v.int k_poll_id poll_id;
+    v.float k_seconds seconds
+  | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
+    v.int k_peer peer;
+    v.int k_from from_;
+    v.int k_au au;
+    v.opt_int k_poll_id poll_id;
+    v.str k_msg_kind msg_kind;
+    v.tok k_reason (token_of reject_reasons reason)
+  | Fault_dropped { src; dst }
+  | Fault_duplicated { src; dst }
+  | Partition_dropped { src; dst }
+  | Fault_corrupted { src; dst }
+  | Fault_stray { src; dst } ->
+    v.int k_src src;
+    v.int k_dst dst
+  | Fault_delayed { src; dst; extra }
+  | Fault_replayed { src; dst; extra }
+  | Fault_stale { src; dst; extra } ->
+    v.int k_src src;
+    v.int k_dst dst;
+    v.float k_extra extra
+  | Node_crashed { node } | Node_restarted { node } -> v.int k_node node
+  | Invariant_violated { invariant; peer; au; poll_id; detail } ->
+    v.str k_invariant invariant;
+    v.opt_int k_peer peer;
+    v.opt_int k_au au;
+    v.opt_int k_poll_id poll_id;
+    v.str k_detail detail
+
+(* The whole record: the header, then the payload. *)
+let walk v ~time event =
+  v.float k_t time;
+  v.tok k_severity (token_of severities (severity event));
+  v.tok k_kind (kind_token event);
+  fields v event
+
+let skip _ _ = ()
+
+let nop =
+  {
+    int = skip;
+    opt_int = skip;
+    float = skip;
+    bool = skip;
+    ids = skip;
+    tok = skip;
+    str = skip;
+  }
+
+let involves event id =
+  let found = ref false in
+  let hit k i = if k.ident && Ids.Identity.equal i id then found := true in
+  let hit_any k xs = List.iter (hit k) xs in
+  fields { nop with int = hit; opt_int = present hit; ids = hit_any } event;
+  !found
+
+let au_of event =
+  let au = ref None in
+  let found k o = if k == k_au then au := o in
+  fields { nop with int = (fun k i -> found k (Some i)); opt_int = found } event;
+  !au
+
+(* -- JSON round-trip --------------------------------------------------- *)
+
+let to_json ~time event =
+  let members = ref [] in
+  let add k value = members := (k.id.name, value) :: !members in
+  let int k i = add k (Json.Int i) in
+  walk
+    {
+      int;
+      opt_int = present int;
+      float = (fun k f -> add k (Json.Float f));
+      bool = (fun k b -> add k (Json.Bool b));
+      ids = (fun k xs -> add k (Json.List (List.map (fun i -> Json.Int i) xs)));
+      tok = (fun k t -> add k (Json.String t.name));
+      str = (fun k s -> add k (Json.String s));
+    }
+    ~time event;
+  Json.Assoc (List.rev !members)
+
+let of_json json =
+  let member name decode =
+    match Option.bind (Json.member name json) decode with
+    | Some v -> v
+    | None -> raise (Malformed (Printf.sprintf "missing or malformed field %S" name))
+  in
+  let int_list = function
+    | Json.List items ->
+      let ints = List.filter_map Json.to_int items in
+      if List.length ints = List.length items then Some ints else None
+    | _ -> None
+  in
+  (* Optional correlation fields are simply omitted when unknown; [Null]
+     is accepted too so hand-written traces can be explicit. *)
+  let opt_int k =
+    match Json.member k.id.name json with
+    | None | Some Json.Null -> None
+    | Some v -> (
+      match Json.to_int v with
+      | Some i -> Some i
+      | None -> raise (Malformed (Printf.sprintf "malformed optional field %S" k.id.name)))
+  in
+  let r : reader =
+    {
+      int = (fun k -> member k.id.name Json.to_int);
+      opt_int;
+      float = (fun k -> member k.id.name Json.to_float);
+      bool = (fun k -> member k.id.name Json.to_bool);
+      ids = (fun k -> member k.id.name int_list);
+      str = (fun k -> member k.id.name Json.string_value);
+      tok =
+        (fun table k ->
+          member k.id.name (fun v -> Option.bind (Json.string_value v) (of_string table)));
+    }
+  in
+  match
+    let time = r.float k_t in
+    let kind = r.str k_kind in
+    match Hashtbl.find_opt decoders kind with
+    | Some decode -> (time, decode r)
+    | None -> raise (Malformed (Printf.sprintf "unknown event kind %S" kind))
+  with
+  | decoded -> Ok decoded
+  | exception Malformed msg -> Error msg
+
+(* -- Analyzer views ----------------------------------------------------- *)
+
+(* The walk callbacks that fill a view, built once per live analyzer,
+   and the view they are filling. Each event gets a fresh view: field
+   stores into a young record skip the write barrier that refilling one
+   long-lived record would pay on every store. The view reads no
+   severity, so only the payload is walked. *)
+type viewer = { mutable view : Obs.View.t; fill : visitor }
+
+let viewer () =
+  let rec viewer =
+    {
+      view = Obs.View.create ~kind:"" ~time:0.;
+      fill =
+        {
+          nop with
+          int =
+            (fun k i -> if k.viewed then Obs.View.set_int viewer.view k.id.name (Some i));
+          (* An optional member's option is stored as it is. *)
+          opt_int = (fun k o -> if k.viewed then Obs.View.set_int viewer.view k.id.name o);
+          float =
+            (fun k f -> if k.viewed then Obs.View.set_float viewer.view k.id.name (Some f));
+          tok =
+            (fun k t ->
+              if k.viewed then Obs.View.set_string viewer.view k.id.name (Some t.name));
+          str =
+            (fun k s -> if k.viewed then Obs.View.set_string viewer.view k.id.name (Some s));
+        };
+    }
+  in
+  viewer
+
+let to_view viewer ~time event =
+  let view = Obs.View.create ~kind:(kind event) ~time in
+  viewer.view <- view;
+  fields viewer.fill event;
+  view
 
 (* -- Sinks ------------------------------------------------------------- *)
 
 type sink = time:float -> event -> unit
 
-let severity_at_least min s =
-  match (min, s) with
-  | Debug, _ -> true
-  | Info, (Info | Warn) -> true
-  | Warn, Warn -> true
-  | _ -> false
+let severity_at_least min s = severity_rank s >= severity_rank min
 
 let pretty_sink ?(min_severity = Debug) ppf ~time event =
   if severity_at_least min_severity (severity event) then
@@ -894,580 +899,165 @@ let pretty_sink ?(min_severity = Debug) ppf ~time event =
       (severity_to_string (severity event))
       pp_event event
 
-(* Direct event-to-bytes serializer producing exactly the bytes of
-   [Json.write buf (to_json ~time event)] without building the
-   intermediate tree — the hot path under a debug-level file sink.
-   Byte parity with [to_json] is guarded by a test in
-   test/test_trace_pipeline.ml; enum tokens, kinds and severities are
-   known escape-free identifiers and are written raw.
-   [write_jsonl_rest] is everything after the rendered time literal, so
-   {!buffered_jsonl_sink} can cache that literal across the frequent
-   consecutive events sharing a timestamp. [float_lit] renders payload
-   floats; the sink passes a memoizing variant (effort charges are
-   config constants, so a trace carries only a handful of distinct
-   values). *)
-(* Keys pre-rendered with separator and quotes so each field prefix is
-   one buffer append instead of three. *)
-let k_poller = ",\"poller\":"
-let k_voter = ",\"voter\":"
-let k_au = ",\"au\":"
-let k_poll_id = ",\"poll_id\":"
-let k_inner_candidates = ",\"inner_candidates\":"
-let k_attempt = ",\"attempt\":"
-let k_claimed = ",\"claimed\":"
-let k_reason = ",\"reason\":"
-let k_path = ",\"path\":"
-let k_invited = ",\"invited\":"
-let k_reference = ",\"reference\":"
-let k_votes = ",\"votes\":"
-let k_block = ",\"block\":"
-let k_version = ",\"version\":"
-let k_outcome = ",\"outcome\":"
-let k_peer = ",\"peer\":"
-let k_role = ",\"role\":"
-let k_phase = ",\"phase\":"
-let k_from = ",\"from\":"
-let k_seconds = ",\"seconds\":"
-let k_src = ",\"src\":"
-let k_dst = ",\"dst\":"
-let k_extra = ",\"extra\":"
-let k_node = ",\"node\":"
-let k_invariant = ",\"invariant\":"
-let k_detail = ",\"detail\":"
-let k_msg_kind = ",\"msg_kind\":"
+(* Whether [s] needs no JSON escaping, as every message kind does:
+   such strings skip [Json.write]'s allocating escaper. *)
+let rec plain s i =
+  i = String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1)
 
-(* Field helpers at top level, taking the buffer as an argument:
-   defining them inside [write_jsonl_rest] would allocate one closure
-   per helper per event. *)
-let int_field buf k i =
-  Buffer.add_string buf k;
-  Json.write_int buf i
-
-let tok_field buf k s =
-  Buffer.add_string buf k;
-  Buffer.add_char buf '"';
-  Buffer.add_string buf s;
-  Buffer.add_char buf '"'
-
-let str_field buf k s =
-  Buffer.add_string buf k;
-  Json.write buf (Json.String s)
-
-let opt_field buf k = function None -> () | Some i -> int_field buf k i
-
-let rec ids_items buf first = function
+(* Top-level recursion: an inner loop capturing [buf] would allocate a
+   closure per event. *)
+let rec add_ids buf first = function
   | [] -> ()
   | x :: rest ->
     if not first then Buffer.add_char buf ',';
     Json.write_int buf x;
-    ids_items buf false rest
+    add_ids buf false rest
 
-let ids_field buf k xs =
-  Buffer.add_string buf k;
-  Buffer.add_char buf '[';
-  ids_items buf true xs;
-  Buffer.add_char buf ']'
-
-let float_field buf float_lit k f =
-  Buffer.add_string buf k;
-  Buffer.add_string buf (float_lit f)
-
-let write_jsonl_rest ?(float_lit = Json.float_literal) buf event =
-  Buffer.add_string buf ",\"severity\":\"";
-  Buffer.add_string buf (severity_to_string (severity event));
-  Buffer.add_string buf "\",\"kind\":\"";
-  Buffer.add_string buf (kind event);
-  Buffer.add_char buf '"';
-  (match event with
-  | Poll_started { poller; au; poll_id; inner_candidates } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_inner_candidates inner_candidates
-  | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    int_field buf k_poller poller;
-    int_field buf k_voter voter;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_attempt attempt
-  | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    int_field buf k_voter voter;
-    int_field buf k_claimed claimed;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    tok_field buf k_reason (drop_reason_to_string reason)
-  | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-    int_field buf k_voter voter;
-    int_field buf k_claimed claimed;
-    int_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    tok_field buf k_path (admission_path_to_string path)
-  | Invitation_refused { voter; poller; au; poll_id }
-  | Invitation_accepted { voter; poller; au; poll_id }
-  | Vote_sent { voter; poller; au; poll_id } ->
-    int_field buf k_voter voter;
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id
-  | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    ids_field buf k_invited invited;
-    ids_field buf k_reference reference
-  | Evaluation_started { poller; au; poll_id; votes } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_votes votes
-  | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    int_field buf k_block block;
-    int_field buf k_version version;
-    Buffer.add_string buf (if clean then ",\"clean\":true" else ",\"clean\":false")
-  | Poll_concluded { poller; au; poll_id; outcome } ->
-    int_field buf k_poller poller;
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    tok_field buf k_outcome (outcome_to_string outcome)
-  | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    int_field buf k_peer peer;
-    tok_field buf k_role (effort_role_to_string role);
-    tok_field buf k_phase (effort_phase_to_string phase);
-    opt_field buf k_poller poller;
-    opt_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    float_field buf float_lit k_seconds seconds
-  | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    int_field buf k_peer peer;
-    int_field buf k_from from_;
-    tok_field buf k_phase (effort_phase_to_string phase);
-    int_field buf k_au au;
-    int_field buf k_poll_id poll_id;
-    float_field buf float_lit k_seconds seconds
-  | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    int_field buf k_peer peer;
-    int_field buf k_from from_;
-    int_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    tok_field buf k_msg_kind msg_kind;
-    tok_field buf k_reason (reject_reason_to_string reason)
-  | Fault_dropped { src; dst }
-  | Fault_duplicated { src; dst }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_stray { src; dst } ->
-    int_field buf k_src src;
-    int_field buf k_dst dst
-  | Fault_delayed { src; dst; extra }
-  | Fault_replayed { src; dst; extra }
-  | Fault_stale { src; dst; extra } ->
-    int_field buf k_src src;
-    int_field buf k_dst dst;
-    float_field buf float_lit k_extra extra
-  | Node_crashed { node } | Node_restarted { node } -> int_field buf k_node node
-  | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-    str_field buf k_invariant invariant;
-    opt_field buf k_peer peer;
-    opt_field buf k_au au;
-    opt_field buf k_poll_id poll_id;
-    str_field buf k_detail detail);
-  Buffer.add_char buf '}'
-
-let write_jsonl buf ~time event =
-  Buffer.add_string buf "{\"t\":";
-  Buffer.add_string buf (Json.float_literal time);
-  write_jsonl_rest buf event
-
-let jsonl_sink ?(min_severity = Debug) oc ~time event =
-  if severity_at_least min_severity (severity event) then begin
-    output_string oc (Json.to_string (to_json ~time event));
-    output_char oc '\n';
-    flush oc
-  end
-
-let buffered_jsonl_sink ?(min_severity = Debug) sink =
-  let scratch = Buffer.create 512 in
-  (* Rendering a float is the single most expensive step of a JSONL
-     line, and about half of all events share their predecessor's
-     timestamp — memoize the last literal. The time lives in a
-     one-element float array, not a [float ref]: assigning a float ref
-     boxes the value on every store. *)
+(* Appends each member as its key's pre-rendered prefix plus the value:
+   exactly the bytes of [Json.write buf (to_json ~time event)] without
+   building the tree. Rendering a float is the most expensive step of a
+   line, so literals are memoized: about half of all events share their
+   predecessor's timestamp, and payload floats (effort charges are
+   config constants) take only a handful of distinct values. *)
+let jsonl_visitor buf =
+  (* The last time lives in a one-element float array, not a [float
+     ref]: assigning a float ref boxes the value on every store. *)
   let last_time = [| nan |] in
   let last_literal = ref "" in
   let payload_literals : (float, string) Hashtbl.t = Hashtbl.create 32 in
-  let float_lit f =
-    (* [find] over [find_opt]: the hit path (all but the first sighting
-       of each of the handful of distinct payload values) allocates
-       nothing. *)
-    match Hashtbl.find payload_literals f with
-    | s -> s
-    | exception Not_found ->
-      let s = Json.float_literal f in
-      if Hashtbl.length payload_literals < 256 then Hashtbl.add payload_literals f s;
-      s
+  let literal k f =
+    if k == k_t then begin
+      if not (Float.equal f last_time.(0)) then begin
+        last_time.(0) <- f;
+        last_literal := Json.float_literal f
+      end;
+      !last_literal
+    end
+    else
+      (* [find] over [find_opt]: the hit path allocates nothing. *)
+      match Hashtbl.find payload_literals f with
+      | s -> s
+      | exception Not_found ->
+        let s = Json.float_literal f in
+        if Hashtbl.length payload_literals < 256 then Hashtbl.add payload_literals f s;
+        s
   in
+  let add k s =
+    Buffer.add_string buf k.prefix;
+    Buffer.add_string buf s
+  in
+  let int k i =
+    Buffer.add_string buf k.prefix;
+    Json.write_int buf i
+  in
+  {
+    int;
+    opt_int = present int;
+    float = (fun k f -> add k (literal k f));
+    bool = (fun k b -> add k (if b then "true" else "false"));
+    ids =
+      (fun k xs ->
+        add k "[";
+        add_ids buf true xs;
+        Buffer.add_char buf ']');
+    tok = (fun k t -> add k t.quoted);
+    str =
+      (fun k s ->
+        if plain s 0 then begin
+          add k "\"";
+          Buffer.add_string buf s;
+          Buffer.add_char buf '"'
+        end
+        else begin
+          Buffer.add_string buf k.prefix;
+          Json.write buf (Json.String s)
+        end);
+  }
+
+let write_jsonl buf ~time event =
+  walk (jsonl_visitor buf) ~time event;
+  Buffer.add_char buf '}'
+
+let buffered_jsonl_sink ?(min_severity = Debug) sink =
+  let scratch = Buffer.create 512 in
+  let v = jsonl_visitor scratch in
   fun ~time event ->
     if severity_at_least min_severity (severity event) then begin
       Buffer.clear scratch;
-      Buffer.add_string scratch "{\"t\":";
-      if not (Float.equal time last_time.(0)) then begin
-        last_time.(0) <- time;
-        last_literal := Json.float_literal time
-      end;
-      Buffer.add_string scratch !last_literal;
-      write_jsonl_rest ~float_lit scratch event;
-      Buffer.add_char scratch '\n';
+      walk v ~time event;
+      Buffer.add_string scratch "}\n";
       Obs.Sink.write_buffer sink ~now:time scratch
     end
 
-(* -- Direct binary encoding --------------------------------------------- *)
-
-(* Interned-string handles for every recurring string of the encoding,
-   registered once: the binary sink resolves each through an array load
-   instead of a hashtable lookup per field. Byte parity with
-   [Obs.Btrace.write (to_json ~time event)] is guarded by a test in
-   test/test_trace_pipeline.ml. *)
-
-let a_t = Obs.Btrace.atom "t"
-let a_severity = Obs.Btrace.atom "severity"
-let a_kind = Obs.Btrace.atom "kind"
-let a_poller = Obs.Btrace.atom "poller"
-let a_au = Obs.Btrace.atom "au"
-let a_poll_id = Obs.Btrace.atom "poll_id"
-let a_inner_candidates = Obs.Btrace.atom "inner_candidates"
-let a_voter = Obs.Btrace.atom "voter"
-let a_attempt = Obs.Btrace.atom "attempt"
-let a_claimed = Obs.Btrace.atom "claimed"
-let a_reason = Obs.Btrace.atom "reason"
-let a_path = Obs.Btrace.atom "path"
-let a_invited = Obs.Btrace.atom "invited"
-let a_reference = Obs.Btrace.atom "reference"
-let a_votes = Obs.Btrace.atom "votes"
-let a_block = Obs.Btrace.atom "block"
-let a_version = Obs.Btrace.atom "version"
-let a_clean = Obs.Btrace.atom "clean"
-let a_outcome = Obs.Btrace.atom "outcome"
-let a_peer = Obs.Btrace.atom "peer"
-let a_role = Obs.Btrace.atom "role"
-let a_phase = Obs.Btrace.atom "phase"
-let a_seconds = Obs.Btrace.atom "seconds"
-let a_from = Obs.Btrace.atom "from"
-let a_src = Obs.Btrace.atom "src"
-let a_extra = Obs.Btrace.atom "extra"
-let a_dst = Obs.Btrace.atom "dst"
-let a_node = Obs.Btrace.atom "node"
-let a_invariant = Obs.Btrace.atom "invariant"
-let a_detail = Obs.Btrace.atom "detail"
-let a_msg_kind = Obs.Btrace.atom "msg_kind"
-let a_sev_debug = Obs.Btrace.atom "debug"
-let a_sev_info = Obs.Btrace.atom "info"
-let a_sev_warn = Obs.Btrace.atom "warn"
-
-let severity_atom = function
-  | Debug -> a_sev_debug
-  | Info -> a_sev_info
-  | Warn -> a_sev_warn
-
-let a_k_poll_started = Obs.Btrace.atom "poll_started"
-let a_k_solicitation_sent = Obs.Btrace.atom "solicitation_sent"
-let a_k_invitation_dropped = Obs.Btrace.atom "invitation_dropped"
-let a_k_invitation_admitted = Obs.Btrace.atom "invitation_admitted"
-let a_k_invitation_refused = Obs.Btrace.atom "invitation_refused"
-let a_k_invitation_accepted = Obs.Btrace.atom "invitation_accepted"
-let a_k_vote_sent = Obs.Btrace.atom "vote_sent"
-let a_k_poll_sampled = Obs.Btrace.atom "poll_sampled"
-let a_k_evaluation_started = Obs.Btrace.atom "evaluation_started"
-let a_k_repair_applied = Obs.Btrace.atom "repair_applied"
-let a_k_poll_concluded = Obs.Btrace.atom "poll_concluded"
-let a_k_effort_charged = Obs.Btrace.atom "effort_charged"
-let a_k_effort_received = Obs.Btrace.atom "effort_received"
-let a_k_message_rejected = Obs.Btrace.atom "message_rejected"
-let a_k_fault_dropped = Obs.Btrace.atom "fault_dropped"
-let a_k_fault_duplicated = Obs.Btrace.atom "fault_duplicated"
-let a_k_fault_delayed = Obs.Btrace.atom "fault_delayed"
-let a_k_partition_dropped = Obs.Btrace.atom "partition_dropped"
-let a_k_fault_corrupted = Obs.Btrace.atom "fault_corrupted"
-let a_k_fault_replayed = Obs.Btrace.atom "fault_replayed"
-let a_k_fault_stale = Obs.Btrace.atom "fault_stale"
-let a_k_fault_stray = Obs.Btrace.atom "fault_stray"
-let a_k_node_crashed = Obs.Btrace.atom "node_crashed"
-let a_k_node_restarted = Obs.Btrace.atom "node_restarted"
-let a_k_invariant_violated = Obs.Btrace.atom "invariant_violated"
-
-let kind_atom = function
-  | Poll_started _ -> a_k_poll_started
-  | Solicitation_sent _ -> a_k_solicitation_sent
-  | Invitation_dropped _ -> a_k_invitation_dropped
-  | Invitation_admitted _ -> a_k_invitation_admitted
-  | Invitation_refused _ -> a_k_invitation_refused
-  | Invitation_accepted _ -> a_k_invitation_accepted
-  | Vote_sent _ -> a_k_vote_sent
-  | Poll_sampled _ -> a_k_poll_sampled
-  | Evaluation_started _ -> a_k_evaluation_started
-  | Repair_applied _ -> a_k_repair_applied
-  | Poll_concluded _ -> a_k_poll_concluded
-  | Effort_charged _ -> a_k_effort_charged
-  | Effort_received _ -> a_k_effort_received
-  | Message_rejected _ -> a_k_message_rejected
-  | Fault_dropped _ -> a_k_fault_dropped
-  | Fault_duplicated _ -> a_k_fault_duplicated
-  | Fault_delayed _ -> a_k_fault_delayed
-  | Partition_dropped _ -> a_k_partition_dropped
-  | Fault_corrupted _ -> a_k_fault_corrupted
-  | Fault_replayed _ -> a_k_fault_replayed
-  | Fault_stale _ -> a_k_fault_stale
-  | Fault_stray _ -> a_k_fault_stray
-  | Node_crashed _ -> a_k_node_crashed
-  | Node_restarted _ -> a_k_node_restarted
-  | Invariant_violated _ -> a_k_invariant_violated
-
-let a_reason_refractory = Obs.Btrace.atom "refractory"
-let a_reason_random_drop = Obs.Btrace.atom "random_drop"
-let a_reason_known_rate_limited = Obs.Btrace.atom "known_rate_limited"
-
-let reason_atom = function
-  | Admission.Refractory -> a_reason_refractory
-  | Admission.Random_drop -> a_reason_random_drop
-  | Admission.Known_rate_limited -> a_reason_known_rate_limited
-
-let a_reject_bad_au = Obs.Btrace.atom "bad_au"
-let a_reject_not_held = Obs.Btrace.atom "not_held"
-let a_reject_unknown_poll = Obs.Btrace.atom "unknown_poll"
-let a_reject_uninvited = Obs.Btrace.atom "uninvited"
-let a_reject_wrong_state = Obs.Btrace.atom "wrong_state"
-let a_reject_wrong_phase = Obs.Btrace.atom "wrong_phase"
-let a_reject_unknown_session = Obs.Btrace.atom "unknown_session"
-let a_reject_stale_closed = Obs.Btrace.atom "stale_closed"
-let a_reject_bad_block = Obs.Btrace.atom "bad_block"
-
-let reject_reason_atom = function
-  | Bad_au -> a_reject_bad_au
-  | Not_held -> a_reject_not_held
-  | Unknown_poll -> a_reject_unknown_poll
-  | Uninvited -> a_reject_uninvited
-  | Wrong_state -> a_reject_wrong_state
-  | Wrong_phase -> a_reject_wrong_phase
-  | Unknown_session -> a_reject_unknown_session
-  | Stale_closed -> a_reject_stale_closed
-  | Bad_block -> a_reject_bad_block
-
-let a_path_introduced = Obs.Btrace.atom "introduced"
-let a_path_unknown = Obs.Btrace.atom "unknown"
-let a_path_known_debt = Obs.Btrace.atom "known_debt"
-let a_path_known_even = Obs.Btrace.atom "known_even"
-let a_path_known_credit = Obs.Btrace.atom "known_credit"
-
-let path_atom = function
-  | Admitted_introduced -> a_path_introduced
-  | Admitted_unknown -> a_path_unknown
-  | Admitted_known Grade.Debt -> a_path_known_debt
-  | Admitted_known Grade.Even -> a_path_known_even
-  | Admitted_known Grade.Credit -> a_path_known_credit
-
-let a_outcome_success = Obs.Btrace.atom "success"
-let a_outcome_inquorate = Obs.Btrace.atom "inquorate"
-let a_outcome_alarmed = Obs.Btrace.atom "alarmed"
-
-let outcome_atom = function
-  | Metrics.Success -> a_outcome_success
-  | Metrics.Inquorate -> a_outcome_inquorate
-  | Metrics.Alarmed -> a_outcome_alarmed
-
-let a_role_loyal = Obs.Btrace.atom "loyal"
-let a_role_adversary = Obs.Btrace.atom "adversary"
-let role_atom = function Loyal -> a_role_loyal | Adversary -> a_role_adversary
-
-let a_phase_admission = Obs.Btrace.atom "admission"
-let a_phase_solicitation = Obs.Btrace.atom "solicitation"
-let a_phase_voting = Obs.Btrace.atom "voting"
-let a_phase_evaluation = Obs.Btrace.atom "evaluation"
-let a_phase_repair = Obs.Btrace.atom "repair"
-
-let phase_atom = function
-  | Admission -> a_phase_admission
-  | Solicitation -> a_phase_solicitation
-  | Voting -> a_phase_voting
-  | Evaluation -> a_phase_evaluation
-  | Repair -> a_phase_repair
-
-(* Per-field helpers at top level, like the jsonl ones above: locals
-   capturing [w] would cost a closure allocation on every event. *)
-let bin_int_field w a v =
-  Obs.Btrace.put_atom w a;
-  Obs.Btrace.put_int w v
-
-let bin_opt_field w a = function None -> () | Some v -> bin_int_field w a v
-
-let rec bin_ids_items w = function
+let rec put_ints w = function
   | [] -> ()
   | x :: rest ->
     Obs.Btrace.put_int w x;
-    bin_ids_items w rest
+    put_ints w rest
 
-let bin_ids_field w a xs =
-  Obs.Btrace.put_atom w a;
-  Obs.Btrace.put_list_header w (List.length xs);
-  bin_ids_items w xs
-
-(* Assembles the record field by field — byte-identical to encoding
-   [to_json ~time event] through the generic path, without building the
-   JSON value. *)
-let write_binary w ~time event =
+(* Puts each member as its key's atom plus the value: byte-identical to
+   [Obs.Btrace.write w (to_json ~time event)], intern ids included. *)
+let binary_visitor w =
   let module B = Obs.Btrace in
-  B.begin_record w;
-  let n = match event with
-    | Poll_started _ -> 4
-    | Solicitation_sent _ -> 5
-    | Invitation_dropped _ -> 5
-    | Invitation_admitted { poll_id; _ } -> 4 + (if poll_id = None then 0 else 1)
-    | Invitation_refused _ | Invitation_accepted _ | Vote_sent _ -> 4
-    | Poll_sampled _ -> 5
-    | Evaluation_started _ -> 4
-    | Repair_applied _ -> 6
-    | Poll_concluded _ -> 4
-    | Effort_charged { poller; au; poll_id; _ } ->
-      4
-      + (if poller = None then 0 else 1)
-      + (if au = None then 0 else 1)
-      + if poll_id = None then 0 else 1
-    | Effort_received _ -> 6
-    | Message_rejected { poll_id; _ } -> 5 + (if poll_id = None then 0 else 1)
-    | Fault_dropped _ | Fault_duplicated _ | Partition_dropped _ | Fault_corrupted _
-    | Fault_stray _ ->
-      2
-    | Fault_delayed _ | Fault_replayed _ | Fault_stale _ -> 3
-    | Node_crashed _ | Node_restarted _ -> 1
-    | Invariant_violated { peer; au; poll_id; _ } ->
-      2
-      + (if peer = None then 0 else 1)
-      + (if au = None then 0 else 1)
-      + if poll_id = None then 0 else 1
+  let int k i =
+    B.put_atom w k.id.atom;
+    B.put_int w i
   in
-  B.put_assoc_header w (3 + n);
-  B.put_atom w a_t;
-  B.put_float w time;
-  B.put_atom w a_severity;
-  B.put_atom w (severity_atom (severity event));
-  B.put_atom w a_kind;
-  B.put_atom w (kind_atom event);
-  (match event with
-  | Poll_started { poller; au; poll_id; inner_candidates } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_inner_candidates inner_candidates
-  | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_voter voter;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_attempt attempt
-  | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_claimed claimed;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_reason;
-    B.put_atom w (reason_atom reason)
-  | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_claimed claimed;
-    bin_int_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_path;
-    B.put_atom w (path_atom path)
-  | Invitation_refused { voter; poller; au; poll_id }
-  | Invitation_accepted { voter; poller; au; poll_id }
-  | Vote_sent { voter; poller; au; poll_id } ->
-    bin_int_field w a_voter voter;
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id
-  | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_ids_field w a_invited invited;
-    bin_ids_field w a_reference reference
-  | Evaluation_started { poller; au; poll_id; votes } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_votes votes
-  | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    bin_int_field w a_block block;
-    bin_int_field w a_version version;
-    B.put_atom w a_clean;
-    B.put_bool w clean
-  | Poll_concluded { poller; au; poll_id; outcome } ->
-    bin_int_field w a_poller poller;
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_outcome;
-    B.put_atom w (outcome_atom outcome)
-  | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    bin_int_field w a_peer peer;
-    B.put_atom w a_role;
-    B.put_atom w (role_atom role);
-    B.put_atom w a_phase;
-    B.put_atom w (phase_atom phase);
-    bin_opt_field w a_poller poller;
-    bin_opt_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_seconds;
-    B.put_float w seconds
-  | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    bin_int_field w a_peer peer;
-    bin_int_field w a_from from_;
-    B.put_atom w a_phase;
-    B.put_atom w (phase_atom phase);
-    bin_int_field w a_au au;
-    bin_int_field w a_poll_id poll_id;
-    B.put_atom w a_seconds;
-    B.put_float w seconds
-  | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    bin_int_field w a_peer peer;
-    bin_int_field w a_from from_;
-    bin_int_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_msg_kind;
-    B.put_string w msg_kind;
-    B.put_atom w a_reason;
-    B.put_atom w (reject_reason_atom reason)
-  | Fault_dropped { src; dst }
-  | Fault_duplicated { src; dst }
-  | Partition_dropped { src; dst }
-  | Fault_corrupted { src; dst }
-  | Fault_stray { src; dst } ->
-    bin_int_field w a_src src;
-    bin_int_field w a_dst dst
-  | Fault_delayed { src; dst; extra }
-  | Fault_replayed { src; dst; extra }
-  | Fault_stale { src; dst; extra } ->
-    bin_int_field w a_src src;
-    bin_int_field w a_dst dst;
-    B.put_atom w a_extra;
-    B.put_float w extra
-  | Node_crashed { node } | Node_restarted { node } -> bin_int_field w a_node node
-  | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-    B.put_atom w a_invariant;
-    B.put_string w invariant;
-    bin_opt_field w a_peer peer;
-    bin_opt_field w a_au au;
-    bin_opt_field w a_poll_id poll_id;
-    B.put_atom w a_detail;
-    B.put_string w detail);
-  B.end_record w ~now:time ()
+  {
+    int;
+    opt_int = present int;
+    float =
+      (fun k f ->
+        B.put_atom w k.id.atom;
+        B.put_float w f);
+    bool =
+      (fun k b ->
+        B.put_atom w k.id.atom;
+        B.put_bool w b);
+    ids =
+      (fun k xs ->
+        B.put_atom w k.id.atom;
+        B.put_list_header w (List.length xs);
+        put_ints w xs);
+    tok =
+      (fun k t ->
+        B.put_atom w k.id.atom;
+        B.put_atom w t.atom);
+    str =
+      (fun k s ->
+        B.put_atom w k.id.atom;
+        B.put_string w s);
+  }
 
-let binary_sink ?(min_severity = Debug) writer ~time event =
-  if severity_at_least min_severity (severity event) then
-    write_binary writer ~time event
+let binary_sink ?(min_severity = Debug) w =
+  let members = ref 0 in
+  let count _ _ = incr members in
+  let counter =
+    {
+      int = count;
+      opt_int = present count;
+      float = count;
+      bool = count;
+      ids = count;
+      tok = count;
+      str = count;
+    }
+  in
+  let put = binary_visitor w in
+  fun ~time event ->
+    if severity_at_least min_severity (severity event) then begin
+      (* The object header needs the member count up front: the three
+         header members, then the payload's. *)
+      members := 3;
+      fields counter event;
+      Obs.Btrace.begin_record w;
+      Obs.Btrace.put_assoc_header w !members;
+      walk put ~time event;
+      Obs.Btrace.end_record w ~now:time ()
+    end
 
 let filter_sink ?min_severity ?peer ?au ?kinds inner ~time event =
   let pass =

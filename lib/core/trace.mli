@@ -14,9 +14,22 @@
 
     Beyond raw subscription, this module provides an event taxonomy
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
-    JSONL, filtering), a lossless JSON round-trip ({!to_json} /
+    JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
     {!of_json}) and a bounded-ring {!recorder} that counts what it had to
-    drop instead of losing it silently. *)
+    drop instead of losing it silently.
+
+    {b Where the schema lives.} Each event's members are described once,
+    in the [fields] walk of [trace.ml]: one arm per constructor, one line
+    per member, each naming a static key. Every encoder is derived from
+    that walk ({!to_json}, {!write_jsonl} and {!buffered_jsonl_sink},
+    {!binary_sink}, {!to_view}, {!involves}, {!au_of}), and each enum's
+    spellings come from one token table. Decoding ({!of_json}) reads the
+    same keys through one decode arm per constructor, whose row in the
+    kind table also gives {!kind} and {!all_kinds}. Adding an event takes
+    five edits: the constructor (in [trace.ml] and here), its
+    {!pp_event} arm, its {!severity} arm, its [fields] arm, and its
+    decode arm — a row of the kind table, which lists kinds in
+    constructor order. *)
 
 (** {2 Effort taxonomy}
 
@@ -295,16 +308,10 @@ type sink = time:float -> event -> unit
     per line: [\[time\] \[severity\] description]. *)
 val pretty_sink : ?min_severity:severity -> Format.formatter -> sink
 
-(** [jsonl_sink ?min_severity oc] writes one JSON object per event (the
-    {!to_json} encoding) per line. The channel is flushed per line so a
-    crashed run keeps its trace — which makes it expensive; production
-    runs use {!buffered_jsonl_sink} instead. *)
-val jsonl_sink : ?min_severity:severity -> out_channel -> sink
-
-(** [buffered_jsonl_sink ?min_severity sink] is {!jsonl_sink} writing
-    through a buffered {!Obs.Sink} (event time forwarded for
-    time-bounded flushing) instead of flushing per event. Close or
-    flush the sink to make the tail durable. *)
+(** [buffered_jsonl_sink ?min_severity sink] writes one JSON object per
+    event (the {!to_json} encoding) per line through a buffered
+    {!Obs.Sink}, forwarding the event time for time-bounded flushing.
+    Close or flush the sink to make the tail durable. *)
 val buffered_jsonl_sink : ?min_severity:severity -> Obs.Sink.t -> sink
 
 (** [binary_sink ?min_severity w] writes events in the compact binary
@@ -337,16 +344,20 @@ val of_json : Obs.Json.t -> (float * event, string) result
 
 (** [write_jsonl buf ~time e] appends exactly the bytes of
     [Obs.Json.write buf (to_json ~time e)] (no trailing newline) without
-    building the intermediate JSON value — the allocation-light hot path
-    used by {!buffered_jsonl_sink}. Byte parity with {!to_json} is
+    building the intermediate JSON value. Byte parity with {!to_json} is
     guarded by a test in test/test_trace_pipeline.ml. *)
 val write_jsonl : Buffer.t -> time:float -> event -> unit
 
-(** [to_view ~time e] is the analyzer projection of [e] — agrees with
-    [Obs.View.of_json (to_json ~time e)] by construction, without
-    building JSON. The live span/ledger bridges feed this to
-    [Obs.Analyze.feed_view]. *)
-val to_view : time:float -> event -> Obs.View.t
+(** The callbacks that fill analyzer views, built once and owned by one
+    live analyzer (the auditor, a scenario's span/ledger bridge). *)
+type viewer
+
+val viewer : unit -> viewer
+
+(** [to_view viewer ~time e] is the analyzer projection of [e], equal to
+    [Obs.View.of_json (to_json ~time e)] without building JSON. The live
+    span/ledger bridges feed it to [Obs.Analyze.feed_view]. *)
+val to_view : viewer -> time:float -> event -> Obs.View.t
 
 (** {2 Recording} *)
 

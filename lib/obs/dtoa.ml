@@ -109,40 +109,41 @@ let scaled_17 a =
   let e2 = (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 52) land 0x7ff) - 1023 in
   scaled_attempt a ((e2 * 78913) asr 18) 0
 
-(* Digit scratch shared across calls (the simulator is single-threaded,
-   like every other scratch buffer on the trace path): a 17-digit
-   mantissa never needs [string_of_int]'s fresh string. Filled
-   least-significant-digit-first from the right; returns the start
-   index. *)
-let digit_scratch = Bytes.create 17
+(* Workspaces reused across calls: a 17-digit mantissa never needs
+   [string_of_int]'s fresh string, and a per-call [Buffer.create] was a
+   measurable slice of the per-literal allocation ([Buffer.contents]
+   copies out a fresh string, so reuse is safe). One pair per domain:
+   parallel sweeps render literals on several domains at once, and a
+   shared pair interleaves their digits. *)
+type scratch = { digits : Bytes.t; buf : Buffer.t }
 
-let rec fill_digits x pos =
-  Bytes.unsafe_set digit_scratch pos (Char.unsafe_chr (Char.code '0' + (x mod 10)));
-  if x >= 10 then fill_digits (x / 10) (pos - 1) else pos
+let scratch =
+  Domain.DLS.new_key (fun () -> { digits = Bytes.create 17; buf = Buffer.create 32 })
+
+(* Fills [digits] least-significant-digit-first from the right; returns
+   the start index. *)
+let rec fill_digits digits x pos =
+  Bytes.unsafe_set digits pos (Char.unsafe_chr (Char.code '0' + (x mod 10)));
+  if x >= 10 then fill_digits digits (x / 10) (pos - 1) else pos
 
 let rec strip_zeros m p = if m mod 10 = 0 then strip_zeros (m / 10) (p + 1) else (m, p)
-
-(* Reused across calls ([Buffer.contents] copies out a fresh string, so
-   sharing the workspace is safe); per-call [Buffer.create] was a
-   measurable slice of the per-literal allocation. *)
-let render_buf = Buffer.create 32
 
 (* [render ~neg m p] lays out [sign * m * 10^p] %g-style: plain decimal
    when the leading digit's exponent is in [-4, 17), otherwise
    [d.ddde±XX]. Trailing zeros of [m] are stripped first. *)
 let render ~neg m p =
+  let { digits; buf = b } = Domain.DLS.get scratch in
   let m, p = strip_zeros m p in
-  let start = fill_digits m 16 in
+  let start = fill_digits digits m 16 in
   let l = 17 - start in
   let q = p + l - 1 in
-  let b = render_buf in
   Buffer.clear b;
   if neg then Buffer.add_char b '-';
   if q < -4 || q >= 17 then begin
-    Buffer.add_char b (Bytes.unsafe_get digit_scratch start);
+    Buffer.add_char b (Bytes.unsafe_get digits start);
     if l > 1 then begin
       Buffer.add_char b '.';
-      Buffer.add_subbytes b digit_scratch (start + 1) (l - 1)
+      Buffer.add_subbytes b digits (start + 1) (l - 1)
     end;
     Buffer.add_char b 'e';
     Buffer.add_char b (if q < 0 then '-' else '+');
@@ -151,22 +152,22 @@ let render ~neg m p =
     Buffer.add_string b (string_of_int a)
   end
   else if q >= l - 1 then begin
-    Buffer.add_subbytes b digit_scratch start l;
+    Buffer.add_subbytes b digits start l;
     for _ = 1 to q - (l - 1) do
       Buffer.add_char b '0'
     done
   end
   else if q >= 0 then begin
-    Buffer.add_subbytes b digit_scratch start (q + 1);
+    Buffer.add_subbytes b digits start (q + 1);
     Buffer.add_char b '.';
-    Buffer.add_subbytes b digit_scratch (start + q + 1) (l - q - 1)
+    Buffer.add_subbytes b digits (start + q + 1) (l - q - 1)
   end
   else begin
     Buffer.add_string b "0.";
     for _ = 1 to -q - 1 do
       Buffer.add_char b '0'
     done;
-    Buffer.add_subbytes b digit_scratch start l
+    Buffer.add_subbytes b digits start l
   end;
   Buffer.contents b
 

@@ -1,43 +1,67 @@
 type t = {
   kind : string;
   time : float;
-  poller : int option;
-  voter : int option;
-  claimed : int option;
-  peer : int option;
-  from_ : int option;
-  au : int option;
-  poll_id : int option;
-  inner_candidates : int option;
-  votes : int option;
-  seconds : float option;
-  role : string option;
-  phase : string option;
-  outcome : string option;
+  mutable poller : int option;
+  mutable voter : int option;
+  mutable claimed : int option;
+  mutable peer : int option;
+  mutable from_ : int option;
+  mutable au : int option;
+  mutable poll_id : int option;
+  mutable inner_candidates : int option;
+  mutable votes : int option;
+  mutable seconds : float option;
+  mutable role : string option;
+  mutable phase : string option;
+  mutable outcome : string option;
 }
 
-(* All payload fields are optional arguments so a hot caller builds the
-   record in one allocation — [make] followed by a [{ v with ... }]
-   update would copy the whole record a second time per event. *)
-let make ?poller ?voter ?claimed ?peer ?from_ ?au ?poll_id ?inner_candidates ?votes
-    ?seconds ?role ?phase ?outcome ~kind ~time () =
+let create ~kind ~time =
   {
     kind;
     time;
-    poller;
-    voter;
-    claimed;
-    peer;
-    from_;
-    au;
-    poll_id;
-    inner_candidates;
-    votes;
-    seconds;
-    role;
-    phase;
-    outcome;
+    poller = None;
+    voter = None;
+    claimed = None;
+    peer = None;
+    from_ = None;
+    au = None;
+    poll_id = None;
+    inner_candidates = None;
+    votes = None;
+    seconds = None;
+    role = None;
+    phase = None;
+    outcome = None;
   }
+
+let reads = function
+  | "poller" | "voter" | "claimed" | "peer" | "from" | "au" | "poll_id"
+  | "inner_candidates" | "votes" | "seconds" | "role" | "phase" | "outcome" ->
+    true
+  | _ -> false
+
+let set_int v name o =
+  match name with
+  | "poller" -> v.poller <- o
+  | "voter" -> v.voter <- o
+  | "claimed" -> v.claimed <- o
+  | "peer" -> v.peer <- o
+  | "from" -> v.from_ <- o
+  | "au" -> v.au <- o
+  | "poll_id" -> v.poll_id <- o
+  | "inner_candidates" -> v.inner_candidates <- o
+  | "votes" -> v.votes <- o
+  | _ -> ()
+
+let set_float v name o = match name with "seconds" -> v.seconds <- o | _ -> ()
+
+let set_string v name o =
+  match name with
+  | "role" -> v.role <- o
+  | "phase" -> v.phase <- o
+  | "outcome" -> v.outcome <- o
+  | _ -> ()
 
 let str name json = Option.bind (Json.member name json) Json.string_value
 let int_field name json = Option.bind (Json.member name json) Json.to_int

@@ -4,54 +4,51 @@
     serialising them to JSON on the bus and re-dissecting the JSON with
     linear [member] lookups — the dominant cost of live analysis. A
     view is the same information as a flat record of options, cheap to
-    build directly from a typed event ([Lockss.Trace.to_view]) and
+    fill directly from a typed event ([Lockss.Trace.to_view]) and
     cheap to read. [of_json] recovers a view from a serialised event so
     offline and live paths share one feeding code path.
 
     Only the fields the analyzers consult are represented; events carry
     more (attempt counters, content versions, fault descriptors) that
-    the span builder and ledger ignore. *)
+    the span builder and ledger ignore.
+
+    Optional fields are mutable so a live caller can fill a fresh view
+    member by member ({!create}, then the [set_*] functions). Consumers
+    read a view synchronously and never keep it. *)
 
 type t = {
   kind : string;
   time : float;
-  poller : int option;
-  voter : int option;
-  claimed : int option;  (** claimed poller id on [invitation_dropped] *)
-  peer : int option;
-  from_ : int option;  (** sender on [effort_received] *)
-  au : int option;
-  poll_id : int option;
-  inner_candidates : int option;
-  votes : int option;
-  seconds : float option;
-  role : string option;
-  phase : string option;
-  outcome : string option;
+  mutable poller : int option;
+  mutable voter : int option;
+  mutable claimed : int option;  (** claimed poller id on [invitation_dropped] *)
+  mutable peer : int option;
+  mutable from_ : int option;  (** sender on [effort_received] *)
+  mutable au : int option;
+  mutable poll_id : int option;
+  mutable inner_candidates : int option;
+  mutable votes : int option;
+  mutable seconds : float option;
+  mutable role : string option;
+  mutable phase : string option;
+  mutable outcome : string option;
 }
 
-(** A view with exactly the passed optional fields present. Optional
-    arguments (rather than [make] + record update) so the hot caller —
-    [Lockss.Trace.to_view], once per event under live analysis — pays a
-    single record allocation. *)
-val make :
-  ?poller:int ->
-  ?voter:int ->
-  ?claimed:int ->
-  ?peer:int ->
-  ?from_:int ->
-  ?au:int ->
-  ?poll_id:int ->
-  ?inner_candidates:int ->
-  ?votes:int ->
-  ?seconds:float ->
-  ?role:string ->
-  ?phase:string ->
-  ?outcome:string ->
-  kind:string ->
-  time:float ->
-  unit ->
-  t
+(** [create ~kind ~time] is a view with no optional field present. *)
+val create : kind:string -> time:float -> t
+
+(** [reads name] is whether {!of_json} reads the serialised payload
+    member [name] into an optional field. *)
+val reads : string -> bool
+
+(** [set_int v name o], [set_float v name o] and [set_string v name o]
+    store [o] in the field that {!of_json} fills from the serialised
+    payload member [name] (["from"] is [from_], other names are the
+    field's own); members the analyzers do not read are ignored. *)
+val set_int : t -> string -> int option -> unit
+
+val set_float : t -> string -> float option -> unit
+val set_string : t -> string -> string option -> unit
 
 (** [of_json json] projects a serialised trace event; [None] when
     [json] has no ["kind"] string member. Missing ["t"] defaults to

@@ -70,6 +70,22 @@ let test_json_non_finite_floats () =
   | Ok (Json.List [ Json.Null; Json.Int 1 ]) -> ()
   | _ -> Alcotest.fail "nan inside a list becomes null"
 
+(* Parallel sweeps render trace literals on several domains at once;
+   each domain must get exactly the digits of its own values. *)
+let test_json_float_literals_across_domains () =
+  let values =
+    Array.init 20_000 (fun i ->
+        (float_of_int (i + 1) *. 0.123456789012345) +. (1. /. float_of_int (i + 7)))
+  in
+  let render () = Array.map Json.float_literal values in
+  let expected = render () in
+  let workers = List.init 2 (fun _ -> Domain.spawn render) in
+  let here = render () in
+  List.iter
+    (fun literals ->
+      Alcotest.(check bool) "same literals as a serial rendering" true (literals = expected))
+    (here :: List.map Domain.join workers)
+
 let test_json_deep_nesting () =
   let rec build depth =
     if depth = 0 then Json.Int 7
@@ -859,6 +875,7 @@ let () =
           quick "numbers" test_json_numbers;
           quick "escape sequences" test_json_escapes;
           quick "non-finite floats" test_json_non_finite_floats;
+          quick "float literals across domains" test_json_float_literals_across_domains;
           quick "deep nesting" test_json_deep_nesting;
         ] );
       ( "trace",
