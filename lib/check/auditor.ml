@@ -4,7 +4,6 @@ type t = {
   params : Invariant.params;
   instances : (Invariant.t * Invariant.instance) list;
   analyzer : Obs.Analyze.t;
-  viewer : Trace.viewer;
   violations : Invariant.violation list ref;  (* newest first *)
   on_violation : (Invariant.violation -> unit) option ref;
   last_time : float ref;
@@ -36,7 +35,6 @@ let create ?(params = Invariant.default_params) ?only () =
     params;
     instances;
     analyzer = Obs.Analyze.create ();
-    viewer = Trace.viewer ();
     violations;
     on_violation;
     last_time = ref 0.;
@@ -54,7 +52,7 @@ let feed t ~time event =
     ()
   | _ ->
     t.last_time := Float.max !(t.last_time) time;
-    Obs.Analyze.feed_view t.analyzer (Trace.to_view t.viewer ~time event);
+    Obs.Analyze.feed_view t.analyzer (Trace.to_view ~time event);
     List.iter (fun (_, inst) -> inst.Invariant.on_event ~time event) t.instances
 
 let record_violation t v =

@@ -638,128 +638,129 @@ let kind_token (event : event) = kind_tokens.(Obj.tag (Obj.repr event))
 let kind event = (kind_token event).name
 let all_kinds = Array.to_list (Array.map fst kinds)
 
-(* The encoding side of the schema: one callback per value shape, built
-   once per sink so that walking an event allocates nothing. *)
-type visitor = {
-  int : key -> int -> unit;
-  opt_int : key -> int option -> unit;
-  float : key -> float -> unit;
-  bool : key -> bool -> unit;
-  ids : key -> Ids.Identity.t list -> unit;
-  tok : key -> token -> unit;
-  str : key -> string -> unit;
+(* The encoding side of the schema: one callback per value shape, each
+   taking the encoder's state [s] (a buffer, a writer, a view), so every
+   visitor is a static value and walking an event allocates nothing. *)
+type 's visitor = {
+  int : 's -> key -> int -> unit;
+  opt_int : 's -> key -> int option -> unit;
+  float : 's -> key -> float -> unit;
+  bool : 's -> key -> bool -> unit;
+  ids : 's -> key -> Ids.Identity.t list -> unit;
+  tok : 's -> key -> token -> unit;
+  str : 's -> key -> string -> unit;
 }
 
 (* The [opt_int] of a visitor that encodes a present optional member like
    any other int and an absent one not at all. *)
-let present int k = function None -> () | Some i -> int k i
+let present int s k = function None -> () | Some i -> int s k i
 
 (* Every event's payload members, in encoding order. *)
-let fields v = function
+let fields v s = function
   | Poll_started { poller; au; poll_id; inner_candidates } ->
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.int k_inner_candidates inner_candidates
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.int s k_inner_candidates inner_candidates
   | Solicitation_sent { poller; voter; au; poll_id; attempt } ->
-    v.int k_poller poller;
-    v.int k_voter voter;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.int k_attempt attempt
+    v.int s k_poller poller;
+    v.int s k_voter voter;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.int s k_attempt attempt
   | Invitation_dropped { voter; claimed; au; poll_id; reason } ->
-    v.int k_voter voter;
-    v.int k_claimed claimed;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.tok k_reason (token_of drop_reasons reason)
+    v.int s k_voter voter;
+    v.int s k_claimed claimed;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.tok s k_reason (token_of drop_reasons reason)
   | Invitation_admitted { voter; claimed; au; poll_id; path } ->
-    v.int k_voter voter;
-    v.int k_claimed claimed;
-    v.int k_au au;
-    v.opt_int k_poll_id poll_id;
-    v.tok k_path (token_of admission_paths path)
+    v.int s k_voter voter;
+    v.int s k_claimed claimed;
+    v.int s k_au au;
+    v.opt_int s k_poll_id poll_id;
+    v.tok s k_path (token_of admission_paths path)
   | Invitation_refused { voter; poller; au; poll_id }
   | Invitation_accepted { voter; poller; au; poll_id }
   | Vote_sent { voter; poller; au; poll_id } ->
-    v.int k_voter voter;
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id
+    v.int s k_voter voter;
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id
   | Poll_sampled { poller; au; poll_id; invited; reference } ->
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.ids k_invited invited;
-    v.ids k_reference reference
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.ids s k_invited invited;
+    v.ids s k_reference reference
   | Evaluation_started { poller; au; poll_id; votes } ->
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.int k_votes votes
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.int s k_votes votes
   | Repair_applied { poller; au; poll_id; block; version; clean } ->
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.int k_block block;
-    v.int k_version version;
-    v.bool k_clean clean
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.int s k_block block;
+    v.int s k_version version;
+    v.bool s k_clean clean
   | Poll_concluded { poller; au; poll_id; outcome } ->
-    v.int k_poller poller;
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.tok k_outcome (token_of outcomes outcome)
+    v.int s k_poller poller;
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.tok s k_outcome (token_of outcomes outcome)
   | Effort_charged { peer; role; phase; poller; au; poll_id; seconds } ->
-    v.int k_peer peer;
-    v.tok k_role (token_of roles role);
-    v.tok k_phase (token_of phases phase);
-    v.opt_int k_poller poller;
-    v.opt_int k_au au;
-    v.opt_int k_poll_id poll_id;
-    v.float k_seconds seconds
+    v.int s k_peer peer;
+    v.tok s k_role (token_of roles role);
+    v.tok s k_phase (token_of phases phase);
+    v.opt_int s k_poller poller;
+    v.opt_int s k_au au;
+    v.opt_int s k_poll_id poll_id;
+    v.float s k_seconds seconds
   | Effort_received { peer; from_; phase; au; poll_id; seconds } ->
-    v.int k_peer peer;
-    v.int k_from from_;
-    v.tok k_phase (token_of phases phase);
-    v.int k_au au;
-    v.int k_poll_id poll_id;
-    v.float k_seconds seconds
+    v.int s k_peer peer;
+    v.int s k_from from_;
+    v.tok s k_phase (token_of phases phase);
+    v.int s k_au au;
+    v.int s k_poll_id poll_id;
+    v.float s k_seconds seconds
   | Message_rejected { peer; from_; au; poll_id; msg_kind; reason } ->
-    v.int k_peer peer;
-    v.int k_from from_;
-    v.int k_au au;
-    v.opt_int k_poll_id poll_id;
-    v.str k_msg_kind msg_kind;
-    v.tok k_reason (token_of reject_reasons reason)
+    v.int s k_peer peer;
+    v.int s k_from from_;
+    v.int s k_au au;
+    v.opt_int s k_poll_id poll_id;
+    v.str s k_msg_kind msg_kind;
+    v.tok s k_reason (token_of reject_reasons reason)
   | Fault_dropped { src; dst }
   | Fault_duplicated { src; dst }
   | Partition_dropped { src; dst }
   | Fault_corrupted { src; dst }
   | Fault_stray { src; dst } ->
-    v.int k_src src;
-    v.int k_dst dst
+    v.int s k_src src;
+    v.int s k_dst dst
   | Fault_delayed { src; dst; extra }
   | Fault_replayed { src; dst; extra }
   | Fault_stale { src; dst; extra } ->
-    v.int k_src src;
-    v.int k_dst dst;
-    v.float k_extra extra
-  | Node_crashed { node } | Node_restarted { node } -> v.int k_node node
+    v.int s k_src src;
+    v.int s k_dst dst;
+    v.float s k_extra extra
+  | Node_crashed { node } | Node_restarted { node } -> v.int s k_node node
   | Invariant_violated { invariant; peer; au; poll_id; detail } ->
-    v.str k_invariant invariant;
-    v.opt_int k_peer peer;
-    v.opt_int k_au au;
-    v.opt_int k_poll_id poll_id;
-    v.str k_detail detail
+    v.str s k_invariant invariant;
+    v.opt_int s k_peer peer;
+    v.opt_int s k_au au;
+    v.opt_int s k_poll_id poll_id;
+    v.str s k_detail detail
 
 (* The whole record: the header, then the payload. *)
-let walk v ~time event =
-  v.float k_t time;
-  v.tok k_severity (token_of severities (severity event));
-  v.tok k_kind (kind_token event);
-  fields v event
+let walk v s ~time event =
+  v.float s k_t time;
+  v.tok s k_severity (token_of severities (severity event));
+  v.tok s k_kind (kind_token event);
+  fields v s event
 
-let skip _ _ = ()
+let skip _ _ _ = ()
 
 let nop =
   {
@@ -774,34 +775,36 @@ let nop =
 
 let involves event id =
   let found = ref false in
-  let hit k i = if k.ident && Ids.Identity.equal i id then found := true in
-  let hit_any k xs = List.iter (hit k) xs in
-  fields { nop with int = hit; opt_int = present hit; ids = hit_any } event;
+  let hit found k i = if k.ident && Ids.Identity.equal i id then found := true in
+  let hit_any found k xs = List.iter (hit found k) xs in
+  fields { nop with int = hit; opt_int = present hit; ids = hit_any } found event;
   !found
 
 let au_of event =
   let au = ref None in
-  let found k o = if k == k_au then au := o in
-  fields { nop with int = (fun k i -> found k (Some i)); opt_int = found } event;
+  let found au k o = if k == k_au then au := o in
+  fields { nop with int = (fun au k i -> found au k (Some i)); opt_int = found } au event;
   !au
 
 (* -- JSON round-trip --------------------------------------------------- *)
 
+let json_int members k i = members := (k.id.name, Json.Int i) :: !members
+
+let json_visitor =
+  let add members k value = members := (k.id.name, value) :: !members in
+  {
+    int = json_int;
+    opt_int = present json_int;
+    float = (fun m k f -> add m k (Json.Float f));
+    bool = (fun m k b -> add m k (Json.Bool b));
+    ids = (fun m k xs -> add m k (Json.List (List.map (fun i -> Json.Int i) xs)));
+    tok = (fun m k t -> add m k (Json.String t.name));
+    str = (fun m k s -> add m k (Json.String s));
+  }
+
 let to_json ~time event =
   let members = ref [] in
-  let add k value = members := (k.id.name, value) :: !members in
-  let int k i = add k (Json.Int i) in
-  walk
-    {
-      int;
-      opt_int = present int;
-      float = (fun k f -> add k (Json.Float f));
-      bool = (fun k b -> add k (Json.Bool b));
-      ids = (fun k xs -> add k (Json.List (List.map (fun i -> Json.Int i) xs)));
-      tok = (fun k t -> add k (Json.String t.name));
-      str = (fun k s -> add k (Json.String s));
-    }
-    ~time event;
+  walk json_visitor members ~time event;
   Json.Assoc (List.rev !members)
 
 let of_json json =
@@ -851,40 +854,24 @@ let of_json json =
 
 (* -- Analyzer views ----------------------------------------------------- *)
 
-(* The walk callbacks that fill a view, built once per live analyzer,
-   and the view they are filling. Each event gets a fresh view: field
-   stores into a young record skip the write barrier that refilling one
-   long-lived record would pay on every store. The view reads no
-   severity, so only the payload is walked. *)
-type viewer = { mutable view : Obs.View.t; fill : visitor }
+(* Fills the view [to_view] allocates per event. Only members the
+   analyzers read are stored, and only their options allocated; an
+   optional member's option is stored as it is. *)
+let view_visitor =
+  let module V = Obs.View in
+  {
+    nop with
+    int = (fun view k i -> if k.viewed then V.set_int view k.id.name (Some i));
+    opt_int = (fun view k o -> if k.viewed then V.set_int view k.id.name o);
+    float = (fun view k f -> if k.viewed then V.set_float view k.id.name (Some f));
+    tok = (fun view k t -> if k.viewed then V.set_string view k.id.name (Some t.name));
+    str = (fun view k s -> if k.viewed then V.set_string view k.id.name (Some s));
+  }
 
-let viewer () =
-  let rec viewer =
-    {
-      view = Obs.View.create ~kind:"" ~time:0.;
-      fill =
-        {
-          nop with
-          int =
-            (fun k i -> if k.viewed then Obs.View.set_int viewer.view k.id.name (Some i));
-          (* An optional member's option is stored as it is. *)
-          opt_int = (fun k o -> if k.viewed then Obs.View.set_int viewer.view k.id.name o);
-          float =
-            (fun k f -> if k.viewed then Obs.View.set_float viewer.view k.id.name (Some f));
-          tok =
-            (fun k t ->
-              if k.viewed then Obs.View.set_string viewer.view k.id.name (Some t.name));
-          str =
-            (fun k s -> if k.viewed then Obs.View.set_string viewer.view k.id.name (Some s));
-        };
-    }
-  in
-  viewer
-
-let to_view viewer ~time event =
+(* The view reads no severity, so only the payload is walked. *)
+let to_view ~time event =
   let view = Obs.View.create ~kind:(kind event) ~time in
-  viewer.view <- view;
-  fields viewer.fill event;
+  fields view_visitor view event;
   view
 
 (* -- Sinks ------------------------------------------------------------- *)
@@ -916,80 +903,88 @@ let rec add_ids buf first = function
     Json.write_int buf x;
     add_ids buf false rest
 
+(* The JSONL encoder's state: the line buffer and its float-literal
+   memos. Rendering a float is the most expensive step of a line: about
+   half of all events share their predecessor's timestamp, and payload
+   floats (effort charges are config constants) take only a handful of
+   distinct values. The last time lives in a one-element float array,
+   not a [float ref]: assigning a float ref boxes the value on every
+   store. *)
+type jsonl = {
+  buf : Buffer.t;
+  last_time : float array;
+  mutable last_literal : string;
+  payload_literals : (float, string) Hashtbl.t;
+}
+
+let jsonl buf =
+  { buf; last_time = [| nan |]; last_literal = ""; payload_literals = Hashtbl.create 32 }
+
+let literal j k f =
+  if k == k_t then begin
+    if not (Float.equal f j.last_time.(0)) then begin
+      j.last_time.(0) <- f;
+      j.last_literal <- Json.float_literal f
+    end;
+    j.last_literal
+  end
+  else
+    (* [find] over [find_opt]: the hit path allocates nothing. *)
+    match Hashtbl.find j.payload_literals f with
+    | s -> s
+    | exception Not_found ->
+      let s = Json.float_literal f in
+      if Hashtbl.length j.payload_literals < 256 then Hashtbl.add j.payload_literals f s;
+      s
+
+let add_member j k s =
+  Buffer.add_string j.buf k.prefix;
+  Buffer.add_string j.buf s
+
+let jsonl_int j k i =
+  Buffer.add_string j.buf k.prefix;
+  Json.write_int j.buf i
+
 (* Appends each member as its key's pre-rendered prefix plus the value:
    exactly the bytes of [Json.write buf (to_json ~time event)] without
-   building the tree. Rendering a float is the most expensive step of a
-   line, so literals are memoized: about half of all events share their
-   predecessor's timestamp, and payload floats (effort charges are
-   config constants) take only a handful of distinct values. *)
-let jsonl_visitor buf =
-  (* The last time lives in a one-element float array, not a [float
-     ref]: assigning a float ref boxes the value on every store. *)
-  let last_time = [| nan |] in
-  let last_literal = ref "" in
-  let payload_literals : (float, string) Hashtbl.t = Hashtbl.create 32 in
-  let literal k f =
-    if k == k_t then begin
-      if not (Float.equal f last_time.(0)) then begin
-        last_time.(0) <- f;
-        last_literal := Json.float_literal f
-      end;
-      !last_literal
-    end
-    else
-      (* [find] over [find_opt]: the hit path allocates nothing. *)
-      match Hashtbl.find payload_literals f with
-      | s -> s
-      | exception Not_found ->
-        let s = Json.float_literal f in
-        if Hashtbl.length payload_literals < 256 then Hashtbl.add payload_literals f s;
-        s
-  in
-  let add k s =
-    Buffer.add_string buf k.prefix;
-    Buffer.add_string buf s
-  in
-  let int k i =
-    Buffer.add_string buf k.prefix;
-    Json.write_int buf i
-  in
+   building the tree. *)
+let jsonl_visitor =
   {
-    int;
-    opt_int = present int;
-    float = (fun k f -> add k (literal k f));
-    bool = (fun k b -> add k (if b then "true" else "false"));
+    int = jsonl_int;
+    opt_int = present jsonl_int;
+    float = (fun j k f -> add_member j k (literal j k f));
+    bool = (fun j k b -> add_member j k (if b then "true" else "false"));
     ids =
-      (fun k xs ->
-        add k "[";
-        add_ids buf true xs;
-        Buffer.add_char buf ']');
-    tok = (fun k t -> add k t.quoted);
+      (fun j k xs ->
+        add_member j k "[";
+        add_ids j.buf true xs;
+        Buffer.add_char j.buf ']');
+    tok = (fun j k t -> add_member j k t.quoted);
     str =
-      (fun k s ->
+      (fun j k s ->
         if plain s 0 then begin
-          add k "\"";
-          Buffer.add_string buf s;
-          Buffer.add_char buf '"'
+          add_member j k "\"";
+          Buffer.add_string j.buf s;
+          Buffer.add_char j.buf '"'
         end
         else begin
-          Buffer.add_string buf k.prefix;
-          Json.write buf (Json.String s)
+          Buffer.add_string j.buf k.prefix;
+          Json.write j.buf (Json.String s)
         end);
   }
 
 let write_jsonl buf ~time event =
-  walk (jsonl_visitor buf) ~time event;
+  walk jsonl_visitor (jsonl buf) ~time event;
   Buffer.add_char buf '}'
 
 let buffered_jsonl_sink ?(min_severity = Debug) sink =
-  let scratch = Buffer.create 512 in
-  let v = jsonl_visitor scratch in
+  let j = jsonl (Buffer.create 512) in
   fun ~time event ->
     if severity_at_least min_severity (severity event) then begin
-      Buffer.clear scratch;
-      walk v ~time event;
-      Buffer.add_string scratch "}\n";
-      Obs.Sink.write_buffer sink ~now:time scratch
+      Buffer.clear j.buf;
+      walk jsonl_visitor j ~time event;
+      Buffer.add_string j.buf "}\n";
+      Obs.Sink.write_buffer sink ~now:time j.buf
     end
 
 let rec put_ints w = function
@@ -998,64 +993,64 @@ let rec put_ints w = function
     Obs.Btrace.put_int w x;
     put_ints w rest
 
+let binary_int w k i =
+  Obs.Btrace.put_atom w k.id.atom;
+  Obs.Btrace.put_int w i
+
 (* Puts each member as its key's atom plus the value: byte-identical to
    [Obs.Btrace.write w (to_json ~time event)], intern ids included. *)
-let binary_visitor w =
+let binary_visitor =
   let module B = Obs.Btrace in
-  let int k i =
-    B.put_atom w k.id.atom;
-    B.put_int w i
-  in
   {
-    int;
-    opt_int = present int;
+    int = binary_int;
+    opt_int = present binary_int;
     float =
-      (fun k f ->
+      (fun w k f ->
         B.put_atom w k.id.atom;
         B.put_float w f);
     bool =
-      (fun k b ->
+      (fun w k b ->
         B.put_atom w k.id.atom;
         B.put_bool w b);
     ids =
-      (fun k xs ->
+      (fun w k xs ->
         B.put_atom w k.id.atom;
         B.put_list_header w (List.length xs);
         put_ints w xs);
     tok =
-      (fun k t ->
+      (fun w k t ->
         B.put_atom w k.id.atom;
         B.put_atom w t.atom);
     str =
-      (fun k s ->
+      (fun w k s ->
         B.put_atom w k.id.atom;
         B.put_string w s);
   }
 
+let count members _ _ = incr members
+
+let counter =
+  {
+    int = count;
+    opt_int = present count;
+    float = count;
+    bool = count;
+    ids = count;
+    tok = count;
+    str = count;
+  }
+
 let binary_sink ?(min_severity = Debug) w =
   let members = ref 0 in
-  let count _ _ = incr members in
-  let counter =
-    {
-      int = count;
-      opt_int = present count;
-      float = count;
-      bool = count;
-      ids = count;
-      tok = count;
-      str = count;
-    }
-  in
-  let put = binary_visitor w in
   fun ~time event ->
     if severity_at_least min_severity (severity event) then begin
       (* The object header needs the member count up front: the three
          header members, then the payload's. *)
       members := 3;
-      fields counter event;
+      fields counter members event;
       Obs.Btrace.begin_record w;
       Obs.Btrace.put_assoc_header w !members;
-      walk put ~time event;
+      walk binary_visitor w ~time event;
       Obs.Btrace.end_record w ~now:time ()
     end
 

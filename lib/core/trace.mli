@@ -348,16 +348,10 @@ val of_json : Obs.Json.t -> (float * event, string) result
     guarded by a test in test/test_trace_pipeline.ml. *)
 val write_jsonl : Buffer.t -> time:float -> event -> unit
 
-(** The callbacks that fill analyzer views, built once and owned by one
-    live analyzer (the auditor, a scenario's span/ledger bridge). *)
-type viewer
-
-val viewer : unit -> viewer
-
-(** [to_view viewer ~time e] is the analyzer projection of [e], equal to
+(** [to_view ~time e] is the analyzer projection of [e], equal to
     [Obs.View.of_json (to_json ~time e)] without building JSON. The live
     span/ledger bridges feed it to [Obs.Analyze.feed_view]. *)
-val to_view : viewer -> time:float -> event -> Obs.View.t
+val to_view : time:float -> event -> Obs.View.t
 
 (** {2 Recording} *)
 

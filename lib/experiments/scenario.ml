@@ -266,11 +266,10 @@ let subscribe_observers ?profiler ~observe ~seed population =
          no JSON is built — while offline analysis of a trace file goes
          through {!Obs.View.of_json}; the two are checked to agree. *)
       let analyzer = Obs.Analyze.create () in
-      let viewer = Lockss.Trace.viewer () in
       Lockss.Trace.subscribe
         (Lockss.Population.trace population)
         (fun ~time event ->
-          Obs.Analyze.feed_view analyzer (Lockss.Trace.to_view viewer ~time event));
+          Obs.Analyze.feed_view analyzer (Lockss.Trace.to_view ~time event));
       cleanups :=
         (fun () ->
           (match spans_out with

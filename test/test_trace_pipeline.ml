@@ -347,12 +347,11 @@ let test_trace_file_iter_binary_stops () =
 (* -- View fast path ------------------------------------------------------ *)
 
 let test_view_agrees_with_json () =
-  let viewer = Trace.viewer () in
   List.iteri
     (fun i event ->
       let time = 10. *. float_of_int (i + 1) in
       let via_json = View.of_json (Trace.to_json ~time event) in
-      let direct = Trace.to_view viewer ~time event in
+      let direct = Trace.to_view ~time event in
       match via_json with
       | None -> Alcotest.failf "%s: of_json returned None" (Trace.kind event)
       | Some v ->
@@ -447,8 +446,7 @@ let test_codec_allocation () =
             (words_per_event (Trace.binary_sink (Btrace.writer sink)));
           check "buffered_jsonl_sink" 5.28
             (words_per_event (Trace.buffered_jsonl_sink sink))));
-  let viewer = Trace.viewer () in
-  check "to_view" 20.32 (words_per_event (fun ~time e -> ignore (Trace.to_view viewer ~time e)))
+  check "to_view" 20.32 (words_per_event (fun ~time e -> ignore (Trace.to_view ~time e)))
 
 let test_analyzer_parity_json_vs_view () =
   (* Feeding serialised JSON and feeding typed views must produce the
@@ -456,12 +454,11 @@ let test_analyzer_parity_json_vs_view () =
      path. *)
   let via_json = Obs.Analyze.create () in
   let via_view = Obs.Analyze.create () in
-  let viewer = Trace.viewer () in
   List.iteri
     (fun i event ->
       let time = 10. *. float_of_int (i + 1) in
       Obs.Analyze.feed via_json (Trace.to_json ~time event);
-      Obs.Analyze.feed_view via_view (Trace.to_view viewer ~time event))
+      Obs.Analyze.feed_view via_view (Trace.to_view ~time event))
     sample_events;
   Alcotest.(check string) "identical reports"
     (Json.to_string (Obs.Analyze.report_json via_json))
