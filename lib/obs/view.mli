@@ -13,8 +13,7 @@
     the span builder and ledger ignore.
 
     Optional fields are mutable so a live caller can fill a fresh view
-    member by member ({!create}, then the [set_*] functions). Consumers
-    read a view synchronously and never keep it. *)
+    member by member ({!create}, then the [set_*] functions). *)
 
 type t = {
   kind : string;

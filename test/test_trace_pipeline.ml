@@ -434,8 +434,8 @@ let words_per_event f =
   (Gc.minor_words () -. w0) /. float_of_int (passes * List.length timed)
 
 let test_codec_allocation () =
-  (* Bounds pinned from the hand-written encoders these replaced; an
-     encoder may allocate less, never more. *)
+  (* Upper bounds pinned from the per-event encoders that preceded the
+     generic field walk: the walk may allocate less, never more. *)
   let check name bound measured =
     if measured > bound then
       Alcotest.failf "%s allocates %.3f words/event, bound %.3f" name measured bound
