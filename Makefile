@@ -29,11 +29,12 @@ smoke: build
 # (trace-report exits non-zero on any anomaly). The trace is then
 # round-tripped through the binary encoding: check-trace, trace-report
 # and audit must agree with the JSONL path byte-for-byte and
-# exit-code-for-exit-code, and converting back must reproduce the
-# original JSONL exactly.
+# exit-code-for-exit-code, the converted binary trace must equal the
+# same run written directly as binary, and converting back must
+# reproduce the original JSONL exactly.
 trace-report-smoke: build
 	rm -f /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke-spans.seed1.jsonl /tmp/tr-smoke-ledger.seed1.json \
-	  /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl
+	  /tmp/tr-smoke.seed1.ntrace /tmp/tr-smoke-back.seed1.jsonl /tmp/tr-smoke-direct.seed1.ntrace
 	dune exec bin/lockss_sim.exe -- run --years 0.2 \
 	  --trace-out /tmp/tr-smoke.jsonl --trace-level debug \
 	  --spans-out /tmp/tr-smoke-spans.jsonl --ledger-out /tmp/tr-smoke-ledger.json
@@ -43,6 +44,10 @@ trace-report-smoke: build
 	@test -s /tmp/tr-smoke-spans.seed1.jsonl || \
 	  { echo "trace-report-smoke: no spans written" >&2; exit 1; }
 	dune exec bin/lockss_sim.exe -- trace-convert /tmp/tr-smoke.seed1.jsonl /tmp/tr-smoke.seed1.ntrace
+	dune exec bin/lockss_sim.exe -- run --years 0.2 \
+	  --trace-out /tmp/tr-smoke-direct.ntrace --trace-level debug --trace-format binary
+	cmp /tmp/tr-smoke-direct.seed1.ntrace /tmp/tr-smoke.seed1.ntrace || \
+	  { echo "trace-report-smoke: converted binary trace differs from a directly written one" >&2; exit 1; }
 	dune exec bin/lockss_sim.exe -- check-trace /tmp/tr-smoke.seed1.ntrace
 	dune exec bin/lockss_sim.exe -- trace-report --json /tmp/tr-smoke.seed1.jsonl > /tmp/tr-smoke-report-jsonl.json
 	dune exec bin/lockss_sim.exe -- trace-report --json /tmp/tr-smoke.seed1.ntrace > /tmp/tr-smoke-report-binary.json

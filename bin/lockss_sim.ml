@@ -436,7 +436,8 @@ let check_flag =
            event, and makes the command exit with status 1.")
 
 (* Audits come back as (label, seed, violations); print every violation
-   and end with the greppable "violations: N" line. *)
+   and end with the greppable "violations: N" line. Returns N, so the
+   caller can write its manifest before exiting non-zero. *)
 let report_audits audits =
   let total = List.fold_left (fun acc (_, _, vs) -> acc + List.length vs) 0 audits in
   List.iter
@@ -447,7 +448,7 @@ let report_audits audits =
         vs)
     audits;
   Format.printf "violations: %d@." total;
-  if total > 0 then exit 1
+  total
 
 let run_cmd =
   let action peers aus quorum years runs seed jobs capacity mttf interval_months kind
@@ -475,23 +476,31 @@ let run_cmd =
         c.Scenario.access_failure c.Scenario.delay_ratio c.Scenario.friction
         c.Scenario.cost_ratio
     in
-    (match (attack, check) with
-    | Scenario.No_attack, false ->
-      let summary = Scenario.run_avg ?observe ~cfg scale Scenario.No_attack in
-      Format.printf "%a@." Lockss.Metrics.pp_summary summary
-    | Scenario.No_attack, true ->
-      let summary, audits = Scenario.run_avg_audited ?observe ~cfg scale Scenario.No_attack in
-      Format.printf "%a@." Lockss.Metrics.pp_summary summary;
-      report_audits (List.map (fun (seed, vs) -> ("run", seed, vs)) audits)
-    | _, false -> print_comparison (Scenario.compare_runs ?observe ~cfg scale attack)
-    | _, true ->
-      let c, audits = Scenario.compare_runs_audited ?observe ~cfg scale attack in
-      print_comparison c;
-      report_audits audits);
+    let violations =
+      match (attack, check) with
+      | Scenario.No_attack, false ->
+        let summary = Scenario.run_avg ?observe ~cfg scale Scenario.No_attack in
+        Format.printf "%a@." Lockss.Metrics.pp_summary summary;
+        0
+      | Scenario.No_attack, true ->
+        let summary, audits =
+          Scenario.run_avg_audited ?observe ~cfg scale Scenario.No_attack
+        in
+        Format.printf "%a@." Lockss.Metrics.pp_summary summary;
+        report_audits (List.map (fun (seed, vs) -> ("run", seed, vs)) audits)
+      | _, false ->
+        print_comparison (Scenario.compare_runs ?observe ~cfg scale attack);
+        0
+      | _, true ->
+        let c, audits = Scenario.compare_runs_audited ?observe ~cfg scale attack in
+        print_comparison c;
+        report_audits audits
+    in
     let fault_mix =
       if Narses.Faults.is_none fault_cfg then None else Some (fault_mix_json mix)
     in
-    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ?fault_mix ()
+    emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ?fault_mix ();
+    if violations > 0 then exit 1
   in
   let term =
     Term.(
@@ -892,40 +901,39 @@ let check_trace_cmd =
   let action path =
     let by_kind = Hashtbl.create 16 in
     let events = ref 0 in
-    let check ~line result =
+    let scratch = Buffer.create 512 in
+    let check ~line record =
       let fail msg =
         Printf.eprintf "%s:%d: %s\n" path line msg;
         exit 1
       in
-      match result with
-      (* For JSONL the error is a bad line; for binary it is corrupt
-         framing, a bad intern reference or trailing garbage — either
-         way the file is invalid. *)
+      match record with
+      (* For JSONL the error is a bad line or a line that is not an
+         event; for binary it can also be corrupt framing, a bad intern
+         reference or trailing garbage — either way the file is
+         invalid. *)
       | Error msg -> fail ("invalid record: " ^ msg)
-      | Ok json ->
-        (match Lockss.Trace.of_json json with
-        | Error msg -> fail ("not a trace event: " ^ msg)
-        | Ok (time, event) ->
-          incr events;
-          let kind = Lockss.Trace.kind event in
-          (* The typed event must survive re-serialization: compare
-             events, not JSON values, because the float writer may
-             legitimately narrow 4320.0 to the literal 4320. *)
-          (match
-             Obs.Json.of_string (Obs.Json.to_string (Lockss.Trace.to_json ~time event))
-           with
-          | Error msg -> fail ("re-serialized event does not parse: " ^ msg)
-          | Ok json' -> (
-            match Lockss.Trace.of_json json' with
-            | Error msg -> fail ("re-serialized event does not round-trip: " ^ msg)
-            | Ok (time', event') ->
-              if not (Float.equal time' time && event' = event) then
-                fail ("event changed across JSON round-trip: " ^ kind)));
-          Hashtbl.replace by_kind kind
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind)))
+      | Ok (time, event) ->
+        incr events;
+        let kind = Lockss.Trace.kind event in
+        (* The typed event must survive re-serialization through the
+           production JSONL encoder: compare events, not bytes, because
+           the float writer may legitimately narrow 4320.0 to the
+           literal 4320. *)
+        Buffer.clear scratch;
+        Lockss.Trace.write_jsonl scratch ~time event;
+        (match
+           Result.bind (Obs.Json.of_string (Buffer.contents scratch)) Lockss.Trace.of_json
+         with
+        | Error msg -> fail ("re-serialized event does not round-trip: " ^ msg)
+        | Ok (time', event') ->
+          if not (Float.equal time' time && event' = event) then
+            fail ("event changed across JSON round-trip: " ^ kind));
+        Hashtbl.replace by_kind kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind kind))
     in
     let format =
-      try Obs.Trace_file.iter path ~f:check
+      try Lockss.Trace.iter_file path ~f:check
       with Sys_error msg ->
         Printf.eprintf "cannot open %s: %s\n" path msg;
         exit 2
@@ -970,34 +978,26 @@ let trace_convert_cmd =
   let action in_path out_path =
     let out_format = Obs.Trace_file.format_of_path out_path in
     let records = ref 0 in
-    (* Records are converted as raw JSON values, not re-encoded through
-       typed events, so a convert round-trip preserves the stream
-       exactly — trace-report and audit give identical answers on both
-       encodings of the same run. *)
+    (* Records are decoded into typed events and re-encoded through the
+       simulator's own sinks, which write every severity by default, so
+       a converted trace has exactly the bytes the simulator writes in
+       that encoding. *)
     let in_format =
       try
         Obs.Sink.with_file out_path (fun sink ->
-            let write_record =
+            let write : Lockss.Trace.sink =
               match out_format with
-              | Obs.Trace_file.Binary ->
-                let w = Obs.Btrace.writer sink in
-                fun json -> Obs.Btrace.write w json
-              | Obs.Trace_file.Jsonl ->
-                let scratch = Buffer.create 256 in
-                fun json ->
-                  Buffer.clear scratch;
-                  Obs.Json.write scratch json;
-                  Buffer.add_char scratch '\n';
-                  Obs.Sink.write_buffer sink scratch
+              | Obs.Trace_file.Binary -> Lockss.Trace.binary_sink (Obs.Btrace.writer sink)
+              | Obs.Trace_file.Jsonl -> Lockss.Trace.buffered_jsonl_sink sink
             in
-            Obs.Trace_file.iter in_path ~f:(fun ~line result ->
-                match result with
+            Lockss.Trace.iter_file in_path ~f:(fun ~line record ->
+                match record with
                 | Error msg ->
                   Printf.eprintf "%s:%d: invalid record: %s\n" in_path line msg;
                   exit 1
-                | Ok json ->
+                | Ok (time, event) ->
                   incr records;
-                  write_record json))
+                  write ~time event))
       with Sys_error msg ->
         Printf.eprintf "cannot convert: %s\n" msg;
         exit 2
@@ -1012,10 +1012,11 @@ let trace_convert_cmd =
     (Cmd.info "trace-convert"
        ~doc:
          "Convert a trace file between JSONL and the compact binary encoding \
-          (selected by $(i,OUT)'s extension: $(b,.ntrace) is binary). Records are \
-          copied as raw JSON values, so converting back yields an equivalent stream \
-          and all offline tools report identical results on either encoding. Exit \
-          status 1 on a corrupt input record.")
+          (selected by $(i,OUT)'s extension: $(b,.ntrace) is binary). Every record is \
+          decoded into a typed event and re-encoded by the simulator's own trace \
+          writer, so the output equals the trace the run would have written in that \
+          encoding, and converting back yields the original file. Exit status 1 on a \
+          corrupt input record.")
     Term.(const action $ input $ output)
 
 (* -- trace-report command ----------------------------------------------- *)
@@ -1036,7 +1037,11 @@ let trace_report_cmd =
   in
   let action path as_json =
     let analyzer = Obs.Analyze.create () in
-    (try Obs.Analyze.read_file analyzer path
+    (try
+       ignore
+         (Lockss.Trace.iter_file path ~f:(fun ~line record ->
+              Obs.Analyze.feed_record analyzer ~line
+                (Result.map (fun (time, event) -> Lockss.Trace.to_view ~time event) record)))
      with Sys_error msg ->
        Printf.eprintf "cannot open %s: %s\n" path msg;
        exit 2);
@@ -1061,12 +1066,12 @@ let trace_report_cmd =
   Cmd.v
     (Cmd.info "trace-report"
        ~doc:
-         "Analyze a --trace-out JSONL file offline: reconstruct poll spans, per-phase \
-          latency distributions and the per-peer effort ledger, and list anomalies \
-          (orphaned events, abandoned polls, duplicate conclusions, poller activity \
-          after conclusion, malformed lines). Exit status 1 when any anomaly is found \
-          — a fault-free baseline trace reports none. Effort tables need a trace \
-          written at --trace-level debug.")
+         "Analyze a --trace-out file, JSONL or binary, offline: reconstruct poll spans, \
+          per-phase latency distributions and the per-peer effort ledger, and list \
+          anomalies (orphaned events, abandoned polls, duplicate conclusions, poller \
+          activity after conclusion, records that do not decode into events). Exit \
+          status 1 when any anomaly is found — a fault-free baseline trace reports \
+          none. Effort tables need a trace written at --trace-level debug.")
     Term.(const action $ file $ json_flag)
 
 (* -- audit command ----------------------------------------------------- *)
@@ -1129,39 +1134,27 @@ let audit_cmd =
         decay_period = decay;
       }
     in
-    let jsons =
-      let acc = ref [] in
-      (try
-         ignore
-           (Obs.Trace_file.iter path ~f:(fun ~line result ->
-                match result with
-                | Ok json -> acc := json :: !acc
-                | Error msg ->
-                  Printf.eprintf "%s:%d: invalid record: %s\n" path line msg;
-                  exit 2))
-       with Sys_error msg ->
-         Printf.eprintf "cannot open %s: %s\n" path msg;
-         exit 2);
-      List.rev !acc
-    in
     let auditor = Check.Auditor.create ~params () in
+    let read f =
+      try ignore (Lockss.Trace.iter_file path ~f)
+      with Sys_error msg ->
+        Printf.eprintf "cannot open %s: %s\n" path msg;
+        exit 2
+    in
     (match mutate with
     | None ->
-      (* Stream the file as-is; malformed event lines become
-         trace-format violations. *)
-      List.iter (fun json -> ignore (Check.Auditor.feed_json auditor json)) jsons
-    | Some id ->
-      let events =
-        List.map
-          (fun json ->
-            match Lockss.Trace.of_json json with
-            | Ok te -> te
-            | Error msg ->
-              Printf.eprintf "%s: cannot mutate a malformed trace: %s\n" path msg;
-              exit 2)
-          jsons
-      in
-      (match Check.Mutation.apply ~params ~id events with
+      (* Stream the file as-is; every undecodable record becomes a
+         trace-format violation. *)
+      read (Check.Auditor.feed_record auditor)
+    | Some id -> (
+      let events = ref [] in
+      read (fun ~line record ->
+          match record with
+          | Ok timed -> events := timed :: !events
+          | Error msg ->
+            Printf.eprintf "%s:%d: cannot mutate a malformed trace: %s\n" path line msg;
+            exit 2);
+      match Check.Mutation.apply ~params ~id (List.rev !events) with
       | Error msg ->
         Printf.eprintf "mutation %s not applicable: %s\n" id msg;
         exit 2
@@ -1175,9 +1168,10 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Replay a --trace-out JSONL file through the protocol-invariant auditor: \
-          effort balance per poll, refractory self-clocking of admissions, monotonic \
-          grade decay, inner-circle sampling and quorum rules. A fault-free trace \
+         "Replay a --trace-out file, JSONL or binary, through the protocol-invariant \
+          auditor: effort balance per poll, refractory self-clocking of admissions, \
+          monotonic grade decay, inner-circle sampling and quorum rules. A record that \
+          does not decode into an event is a trace-format violation. A fault-free trace \
           audits clean; exit status 1 when any invariant is violated. --mutate seeds a \
           known violation first, proving the matching check fires. Audit a trace \
           written at --trace-level debug, with --quorum/--refractory/--decay matching \

@@ -59,11 +59,8 @@ let record_violation t v =
   t.violations := v :: !(t.violations);
   match !(t.on_violation) with None -> () | Some f -> f v
 
-let feed_json t json =
-  match Trace.of_json json with
-  | Ok (time, event) ->
-    feed t ~time event;
-    Ok ()
+let feed_record t ~line = function
+  | Ok (time, event) -> feed t ~time event
   | Error msg ->
     record_violation t
       {
@@ -73,9 +70,8 @@ let feed_json t json =
         peer = None;
         au = None;
         poll_id = None;
-        detail = msg;
-      };
-    Error msg
+        detail = Printf.sprintf "line %d: %s" line msg;
+      }
 
 let finish ?metrics t =
   if not !(t.finished) then begin

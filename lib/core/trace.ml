@@ -852,6 +852,9 @@ let of_json json =
   | decoded -> Ok decoded
   | exception Malformed msg -> Error msg
 
+let iter_file path ~f =
+  Obs.Trace_file.iter path ~f:(fun ~line record -> f ~line (Result.bind record of_json))
+
 (* -- Analyzer views ----------------------------------------------------- *)
 
 (* Fills the view [to_view] allocates per event. Only members the

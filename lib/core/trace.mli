@@ -15,8 +15,9 @@
     Beyond raw subscription, this module provides an event taxonomy
     ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
     JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
-    {!of_json}) and a bounded-ring {!recorder} that counts what it had to
-    drop instead of losing it silently.
+    {!of_json}), one typed trace-file reader ({!iter_file}) and a
+    bounded-ring {!recorder} that counts what it had to drop instead of
+    losing it silently.
 
     {b Where the schema lives.} Each event's members are described once,
     in the [fields] walk of [trace.ml]: one arm per constructor, one line
@@ -335,12 +336,25 @@ val filter_sink :
 
 (** [to_json ~time e] is a flat object: ["t"] (seconds), ["severity"],
     ["kind"], then the constructor's fields. Optional correlation fields
-    of {!event.Effort_charged} are omitted when absent. *)
+    of {!event.Effort_charged} are omitted when absent. No production
+    path builds this tree: it is the reference encoding that the direct
+    encoders ({!write_jsonl}, {!binary_sink}) are tested against. *)
 val to_json : time:float -> event -> Obs.Json.t
 
 (** [of_json j] inverts {!to_json}. Absent or [null] optional
     correlation fields decode to [None]. *)
 val of_json : Obs.Json.t -> (float * event, string) result
+
+(** [iter_file path ~f] reads a trace file in either encoding
+    ({!Obs.Trace_file.iter}) and decodes every record with {!of_json},
+    calling [f ~line r] in file order with the record's 1-based line
+    number (JSONL) or ordinal (binary). [r] is [Error msg] for a record
+    that does not parse or does not decode into an event; JSONL reading
+    goes on past it, binary reading stops there. Returns the detected
+    encoding. Raises [Sys_error] if the file cannot be opened. This is
+    the one reader every offline tool uses. *)
+val iter_file :
+  string -> f:(line:int -> (float * event, string) result -> unit) -> Obs.Trace_file.format
 
 (** [write_jsonl buf ~time e] appends exactly the bytes of
     [Obs.Json.write buf (to_json ~time e)] (no trailing newline) without
@@ -348,9 +362,10 @@ val of_json : Obs.Json.t -> (float * event, string) result
     guarded by a test in test/test_trace_pipeline.ml. *)
 val write_jsonl : Buffer.t -> time:float -> event -> unit
 
-(** [to_view ~time e] is the analyzer projection of [e], equal to
-    [Obs.View.of_json (to_json ~time e)] without building JSON. The live
-    span/ledger bridges feed it to [Obs.Analyze.feed_view]. *)
+(** [to_view ~time e] is the analyzer projection of [e]: the members
+    {!Obs.View.reads} names, stored under their serialised names. Live
+    span/ledger bridges and offline trace readers alike feed it to
+    [Obs.Analyze]. *)
 val to_view : time:float -> event -> Obs.View.t
 
 (** {2 Recording} *)

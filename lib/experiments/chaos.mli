@@ -21,8 +21,8 @@
       order of magnitude of the fault-free paired run (same seed, same
       attack), per the paper's paired-run methodology.
 
-    Runs are driven with an event budget so a livelock raises
-    {!Narses.Engine.Event_limit_exceeded} instead of hanging. *)
+    Runs are driven with an event budget ({!event_budget}) so a livelock
+    raises {!Narses.Engine.Event_limit_exceeded} instead of hanging. *)
 
 type mix = {
   loss : float;  (** per-copy drop probability *)
@@ -65,6 +65,12 @@ type report = {
 }
 
 val all_green : report -> bool
+
+(** The livelock backstop of the fault harnesses (this one and
+    [Soak]): far above any legitimate run at these scales (the bench
+    scale fires a few million events), so only a genuine livelock
+    exhausts it. *)
+val event_budget : int
 
 (** [run ?scale ?attack mix] executes the scenario under the fault mix,
     then the fault-free paired run, and evaluates every invariant.

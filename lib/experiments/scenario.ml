@@ -261,10 +261,9 @@ let subscribe_observers ?profiler ~observe ~seed population =
     | spans_out, ledger_out ->
       (* The live analyzer subscribes below the severity filter: span
          and ledger reconstruction need the full Debug stream even when
-         the trace file itself is written at a higher level. Live
-         analysis takes the typed fast path ({!Lockss.Trace.to_view}) —
-         no JSON is built — while offline analysis of a trace file goes
-         through {!Obs.View.of_json}; the two are checked to agree. *)
+         the trace file itself is written at a higher level. Events
+         reach it as views ({!Lockss.Trace.to_view}), the same path
+         offline analysis of a trace file takes. *)
       let analyzer = Obs.Analyze.create () in
       Lockss.Trace.subscribe
         (Lockss.Population.trace population)

@@ -68,9 +68,10 @@ type trace_format = [ `Auto | `Jsonl | `Binary ]
 type observe = {
   trace_out : string option;
       (** write protocol events to this path, suffixed per run by seed —
-          JSONL ({!Lockss.Trace.to_json}) or the compact binary format
-          ({!Obs.Btrace}) per [trace_format]; buffered either way, with
-          the file closed (and therefore flushed) when the run ends *)
+          JSONL ({!Lockss.Trace.buffered_jsonl_sink}) or the compact
+          binary format ({!Obs.Btrace}) per [trace_format]; buffered
+          either way, with the file closed (and therefore flushed) when
+          the run ends *)
   trace_level : Lockss.Trace.severity;  (** minimum severity written *)
   trace_format : trace_format;
   metrics_out : string option;

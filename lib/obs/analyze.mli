@@ -1,14 +1,14 @@
 (** Offline (and live) trace analysis: poll spans, per-peer effort
     ledger, per-phase latency distributions and anomaly detection, from
-    a stream of trace events in JSON form.
+    a stream of trace events seen through their analyzer view
+    ({!View.t}).
 
-    Feed events one of three ways:
-    - {!feed} with already-parsed JSON values — this is how the live
-      builders attach: bridge the trace bus through the trace
-      serialiser into [feed];
-    - {!feed_line} with raw JSONL lines (malformed lines become
-      anomalies, never exceptions);
-    - {!read_file}/{!read_channel} for whole trace files.
+    Feed events one of two ways:
+    - {!feed_view} — how the live builders attach: bridge the trace bus
+      through [Lockss.Trace.to_view] into [feed_view];
+    - {!feed_record} with each record of a trace file, as
+      [Lockss.Trace.iter_file] decodes it: a view, or the decode error
+      (which becomes an anomaly, never an exception).
 
     The report distinguishes {e anomalies} (shapes a healthy fault-free
     run never produces — the fault-free smoke asserts there are none)
@@ -21,29 +21,19 @@ val create : unit -> t
 val span_builder : t -> Span.t
 val ledger : t -> Ledger.t
 
-(** [feed t json] routes one trace event to the span builder and the
+(** [feed_view t v] routes one trace event to the span builder and the
     ledger. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} on a pre-projected event — the zero-JSON
-    path the live bridges use. *)
 val feed_view : t -> View.t -> unit
 
-(** [feed_line t ~line s] parses one JSONL line and feeds it; parse
-    failures are recorded as {!Span.Malformed_line} anomalies. Blank
-    lines are ignored. *)
-val feed_line : t -> line:int -> string -> unit
+(** [feed_record t ~line r] consumes record number [line] of a trace
+    file: [Ok v] is fed, [Error msg] (a record that does not parse or
+    does not decode into an event) is recorded as a
+    {!Span.Malformed_line} anomaly. Either way it counts towards
+    {!lines}. *)
+val feed_record : t -> line:int -> (View.t, string) result -> unit
 
-val read_channel : t -> in_channel -> unit
-
-(** [read_file t path] reads a whole trace in either encoding,
-    sniffing the {!Btrace.magic} prefix ({!Trace_file.detect}). Binary
-    decode errors are recorded as malformed-line anomalies, like
-    unparsable JSONL lines. *)
-val read_file : t -> string -> unit
-
-(** Lines (JSONL) or records (binary) seen by the offline readers (0
-    when fed live). *)
+(** Records delivered through {!feed_record}: lines (JSONL) or records
+    (binary) of a trace file; 0 when fed live. *)
 val lines : t -> int
 
 val anomalies : t -> Span.anomaly list

@@ -150,9 +150,6 @@ let feed_view t (v : View.t) =
     | None -> ())
   | _ -> ()
 
-let feed t json =
-  match View.of_json json with None -> () | Some v -> feed_view t v
-
 let entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.peers []
   |> List.sort (fun a b -> compare a.peer b.peer)

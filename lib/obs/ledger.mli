@@ -1,7 +1,6 @@
 (** Per-peer provable-effort ledger, reconstructed from trace events.
 
-    The ledger consumes the JSON representation of trace events (one
-    {!Json.t} object per event, as written by the trace JSONL sink) and
+    The ledger consumes analyzer views of trace events ({!View.t}) and
     accumulates, per peer, the provable effort it {e spent} and the
     effort other peers {e proved to it}, split by protocol phase. It
     also counts the poll/vote/invitation outcomes each peer was
@@ -12,9 +11,8 @@
     ledger over all peers reconstructs the [Metrics] aggregates exactly
     (up to float addition order); {!reconcile} checks that invariant.
 
-    This module deliberately speaks only JSON: it lives below the
-    protocol library so it can be reused offline on trace files without
-    linking the simulator. *)
+    This module reads only {!View.t}, never the typed event: it lives
+    below the protocol library, which fills the views. *)
 
 type phase = Admission | Solicitation | Voting | Evaluation | Repair
 
@@ -49,13 +47,8 @@ type t
 
 val create : unit -> t
 
-(** [feed t json] consumes one trace event. Events that carry no ledger
-    information (faults, crashes) and values of unexpected shape are
-    ignored. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} without the JSON detour — the live
-    analyzers build a {!View.t} straight from the typed event. *)
+(** [feed_view t v] consumes one trace event. Events that carry no
+    ledger information (faults, crashes) are ignored. *)
 val feed_view : t -> View.t -> unit
 
 (** [entries t] is every peer seen so far, sorted by peer id. *)

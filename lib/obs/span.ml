@@ -381,9 +381,6 @@ let feed_view t (v : View.t) =
     | _ -> ())
   | _ -> ()
 
-let feed t json =
-  match View.of_json json with None -> () | Some v -> feed_view t v
-
 let closed_spans t = List.rev t.closed_rev
 
 let open_spans t =

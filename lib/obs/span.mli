@@ -3,10 +3,9 @@
     A span is one poll's lifecycle, keyed by the [(poller, au, poll_id)]
     correlation triple every poll-scoped trace event carries: started,
     solicited, voted on, evaluated, repaired, concluded. The builder
-    consumes trace events in JSON form (either live, by bridging the
-    trace bus through the event serialiser, or offline from a trace
-    JSONL file) and maintains open and closed spans plus an anomaly
-    list.
+    consumes analyzer views of trace events ({!View.t}; live from the
+    trace bus, or offline from the typed events decoded out of a trace
+    file) and maintains open and closed spans plus an anomaly list.
 
     Anomalies are trace shapes a healthy, fault-free run never
     produces: malformed lines, events for polls whose start was never
@@ -82,17 +81,12 @@ type t
 
 val create : unit -> t
 
-(** [feed t json] consumes one trace event (timestamp read from its
-    ["t"] field). Events without poll correlation are ignored. *)
-val feed : t -> Json.t -> unit
-
-(** [feed_view t v] is {!feed} without the JSON detour — the live
-    analyzers build a {!View.t} straight from the typed event. [feed]
-    is [of_json] composed with this, so both paths stay in lockstep. *)
+(** [feed_view t v] consumes one trace event. Events without poll
+    correlation are ignored. *)
 val feed_view : t -> View.t -> unit
 
 (** [note_malformed t ~line ~error] records a {!Malformed_line} anomaly
-    — called by the offline reader for lines that fail to parse. *)
+    — called by the offline reader for records that fail to decode. *)
 val note_malformed : t -> line:int -> error:string -> unit
 
 (** Concluded (and abandoned) spans, in order of closing. *)

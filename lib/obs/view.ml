@@ -62,30 +62,3 @@ let set_string v name o =
   | "phase" -> v.phase <- o
   | "outcome" -> v.outcome <- o
   | _ -> ()
-
-let str name json = Option.bind (Json.member name json) Json.string_value
-let int_field name json = Option.bind (Json.member name json) Json.to_int
-let float_field name json = Option.bind (Json.member name json) Json.to_float
-
-let of_json json =
-  match str "kind" json with
-  | None -> None
-  | Some kind ->
-    Some
-      {
-        kind;
-        time = Option.value ~default:0. (float_field "t" json);
-        poller = int_field "poller" json;
-        voter = int_field "voter" json;
-        claimed = int_field "claimed" json;
-        peer = int_field "peer" json;
-        from_ = int_field "from" json;
-        au = int_field "au" json;
-        poll_id = int_field "poll_id" json;
-        inner_candidates = int_field "inner_candidates" json;
-        votes = int_field "votes" json;
-        seconds = float_field "seconds" json;
-        role = str "role" json;
-        phase = str "phase" json;
-        outcome = str "outcome" json;
-      }

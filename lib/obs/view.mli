@@ -1,18 +1,16 @@
 (** Flat, analyzer-facing projection of one trace event.
 
-    The live span builder and effort ledger used to consume events by
-    serialising them to JSON on the bus and re-dissecting the JSON with
-    linear [member] lookups — the dominant cost of live analysis. A
-    view is the same information as a flat record of options, cheap to
-    fill directly from a typed event ([Lockss.Trace.to_view]) and
-    cheap to read. [of_json] recovers a view from a serialised event so
-    offline and live paths share one feeding code path.
+    The span builder and effort ledger read events as a flat record of
+    options, filled straight from a typed event
+    ([Lockss.Trace.to_view]). Live runs and offline trace files take
+    that same path: a trace file is decoded into typed events first
+    ([Lockss.Trace.iter_file]), so the analyzers never see raw JSON.
 
     Only the fields the analyzers consult are represented; events carry
     more (attempt counters, content versions, fault descriptors) that
     the span builder and ledger ignore.
 
-    Optional fields are mutable so a live caller can fill a fresh view
+    Optional fields are mutable so a caller can fill a fresh view
     member by member ({!create}, then the [set_*] functions). *)
 
 type t = {
@@ -36,20 +34,15 @@ type t = {
 (** [create ~kind ~time] is a view with no optional field present. *)
 val create : kind:string -> time:float -> t
 
-(** [reads name] is whether {!of_json} reads the serialised payload
-    member [name] into an optional field. *)
+(** [reads name] is whether the analyzers read the serialised payload
+    member [name]: whether a [set_*] call on it stores anything. *)
 val reads : string -> bool
 
 (** [set_int v name o], [set_float v name o] and [set_string v name o]
-    store [o] in the field that {!of_json} fills from the serialised
-    payload member [name] (["from"] is [from_], other names are the
-    field's own); members the analyzers do not read are ignored. *)
+    store [o] in the field for the serialised payload member [name]
+    (["from"] is [from_], other names are the field's own); members the
+    analyzers do not read are ignored. *)
 val set_int : t -> string -> int option -> unit
 
 val set_float : t -> string -> float option -> unit
 val set_string : t -> string -> string option -> unit
-
-(** [of_json json] projects a serialised trace event; [None] when
-    [json] has no ["kind"] string member. Missing ["t"] defaults to
-    [0.], matching the JSON analyzers. *)
-val of_json : Json.t -> t option

@@ -610,8 +610,26 @@ let test_scenario_observability_end_to_end () =
 
 let feed_events analyzer events =
   List.iter
-    (fun (time, event) -> Obs.Analyze.feed analyzer (Trace.to_json ~time event))
+    (fun (time, event) -> Obs.Analyze.feed_view analyzer (Trace.to_view ~time event))
     events
+
+(* The offline trace-report path: every record of a trace file, as
+   [Trace.iter_file] decodes it, goes to the analyzer. *)
+let analyze_file path =
+  let analyzer = Obs.Analyze.create () in
+  ignore
+    (Trace.iter_file path ~f:(fun ~line record ->
+         Obs.Analyze.feed_record analyzer ~line
+           (Result.map (fun (time, event) -> Trace.to_view ~time event) record)));
+  analyzer
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        lines)
 
 (* One complete, healthy poll lifecycle for poll (1, 0, 42). *)
 let poll_lifecycle_events =
@@ -680,7 +698,7 @@ let test_span_reconstruction () =
 
 let test_span_anomalies () =
   let builder = Obs.Span.create () in
-  let feed time event = Obs.Span.feed builder (Trace.to_json ~time event) in
+  let feed time event = Obs.Span.feed_view builder (Trace.to_view ~time event) in
   (* Two events for a poll whose start was never seen: one anomaly per
      orphan key, both events counted. *)
   feed 1. (Trace.Vote_sent { voter = 9; poller = 8; au = 0; poll_id = 5 });
@@ -717,31 +735,102 @@ let test_truncated_trace_is_not_fatal () =
   (* A trace cut mid-poll (the writer died): the final line is half a
      JSON object and the poll never concludes. The analyzer must report
      a malformed line and keep the span open, not crash. *)
-  let analyzer = Obs.Analyze.create () in
   let lines =
     List.map (fun (time, e) -> Json.to_string (Trace.to_json ~time e)) poll_lifecycle_events
   in
   let keep = List.length lines - 1 in
-  let lines = List.filteri (fun i _ -> i < keep) lines in
-  List.iteri
-    (fun i line ->
-      let line = if i = keep - 1 then String.sub line 0 (String.length line / 2) else line in
-      Obs.Analyze.feed_line analyzer ~line:(i + 1) line)
-    lines;
-  Alcotest.(check int) "one anomaly" 1 (Obs.Analyze.anomaly_count analyzer);
-  (match Obs.Analyze.anomalies analyzer with
-  | [ Obs.Span.Malformed_line { line; _ } ] ->
-    Alcotest.(check int) "at the cut line" keep line
-  | _ -> Alcotest.fail "expected a malformed-line anomaly");
-  let builder = Obs.Analyze.span_builder analyzer in
-  Alcotest.(check int) "poll left open" 1 (List.length (Obs.Span.open_spans builder));
-  Alcotest.(check int) "nothing concluded" 0 (List.length (Obs.Span.closed_spans builder))
+  let lines =
+    List.filteri (fun i _ -> i < keep) lines
+    |> List.mapi (fun i line ->
+           if i = keep - 1 then String.sub line 0 (String.length line / 2) else line)
+  in
+  with_temp_file (fun path ->
+      write_lines path lines;
+      let analyzer = analyze_file path in
+      Alcotest.(check int) "one anomaly" 1 (Obs.Analyze.anomaly_count analyzer);
+      (match Obs.Analyze.anomalies analyzer with
+      | [ Obs.Span.Malformed_line { line; _ } ] ->
+        Alcotest.(check int) "at the cut line" keep line
+      | _ -> Alcotest.fail "expected a malformed-line anomaly");
+      let builder = Obs.Analyze.span_builder analyzer in
+      Alcotest.(check int) "poll left open" 1 (List.length (Obs.Span.open_spans builder));
+      Alcotest.(check int) "nothing concluded" 0
+        (List.length (Obs.Span.closed_spans builder)))
+
+let test_undecodable_records_offline () =
+  (* Three records the typed decoder rejects, between valid ones: an
+     unknown kind, a poll-scoped event without its poll_id, and a line
+     that is not JSON. Both offline tools read the file through
+     [Trace.iter_file]: trace-report must give one malformed-line
+     anomaly per bad record, at its line, and the audit one
+     trace-format violation per bad record while it keeps auditing the
+     valid ones — here, catching two admissions inside the refractory
+     period. *)
+  let line time event = Json.to_string (Trace.to_json ~time event) in
+  let admitted =
+    Trace.Invitation_admitted
+      { voter = 2; claimed = 1; au = 0; poll_id = Some 42; path = Trace.Admitted_unknown }
+  in
+  let vote = Trace.Vote_sent { voter = 2; poller = 1; au = 0; poll_id = 42 } in
+  let without_poll_id =
+    match Trace.to_json ~time:25. vote with
+    | Json.Assoc members ->
+      Json.to_string (Json.Assoc (List.filter (fun (k, _) -> k <> "poll_id") members))
+    | _ -> assert false
+  in
+  let lines =
+    [
+      line 0. (Trace.Poll_started { poller = 1; au = 0; poll_id = 42; inner_candidates = 5 });
+      {|{"t":5,"severity":"info","kind":"no_such_kind","poller":1}|};
+      line 20. admitted;
+      without_poll_id;
+      {|{"t":27,"severity":"debug","kind":|};
+      line 30. admitted;
+      line 35. vote;
+      line 50.
+        (Trace.Poll_concluded { poller = 1; au = 0; poll_id = 42; outcome = Metrics.Success });
+    ]
+  in
+  let bad_lines = [ 2; 4; 5 ] in
+  with_temp_file (fun path ->
+      write_lines path lines;
+      let analyzer = analyze_file path in
+      Alcotest.(check int) "every line counted" (List.length lines)
+        (Obs.Analyze.lines analyzer);
+      Alcotest.(check (list int)) "one malformed anomaly per bad record" bad_lines
+        (List.map
+           (function
+             | Obs.Span.Malformed_line { line; _ } -> line
+             | a -> Alcotest.failf "unexpected anomaly %a" Obs.Span.pp_anomaly a)
+           (Obs.Analyze.anomalies analyzer));
+      Alcotest.(check int) "valid poll still concluded" 1
+        (List.length (Obs.Span.closed_spans (Obs.Analyze.span_builder analyzer)));
+      let auditor = Check.Auditor.create ~only:[ "refractory" ] () in
+      ignore (Trace.iter_file path ~f:(Check.Auditor.feed_record auditor));
+      Check.Auditor.finish auditor;
+      let found =
+        List.map
+          (fun v -> (v.Check.Invariant.invariant, v.Check.Invariant.detail))
+          (Check.Auditor.violations auditor)
+      in
+      let format_lines =
+        List.filter_map
+          (fun (id, detail) ->
+            if id = "trace-format" then Scanf.sscanf_opt detail "line %d:" Fun.id
+            else None)
+          found
+      in
+      Alcotest.(check (list int)) "one trace-format violation per bad record" bad_lines
+        format_lines;
+      Alcotest.(check (list string)) "valid records still audited"
+        [ "trace-format"; "trace-format"; "trace-format"; "refractory" ]
+        (List.map fst found))
 
 (* -- Ledger --------------------------------------------------------------- *)
 
 let test_ledger_accumulates () =
   let ledger = Obs.Ledger.create () in
-  let feed time event = Obs.Ledger.feed ledger (Trace.to_json ~time event) in
+  let feed time event = Obs.Ledger.feed_view ledger (Trace.to_view ~time event) in
   let charge peer role phase seconds =
     Trace.Effort_charged
       { peer; role; phase; poller = Some 1; au = Some 0; poll_id = Some 1; seconds }
@@ -813,7 +902,7 @@ let reconciled_run attack =
   let population = Experiments.Scenario.build ~cfg ~seed:11 attack in
   let analyzer = Obs.Analyze.create () in
   Trace.subscribe (Population.trace population) (fun ~time event ->
-      Obs.Analyze.feed analyzer (Trace.to_json ~time event));
+      Obs.Analyze.feed_view analyzer (Trace.to_view ~time event));
   Population.run population ~until:(Duration.of_years scale.Experiments.Scenario.years);
   (analyzer, Population.summary population)
 
@@ -920,6 +1009,7 @@ let () =
           quick "reconstruction from a healthy lifecycle" test_span_reconstruction;
           quick "anomaly taxonomy" test_span_anomalies;
           quick "truncated trace is not fatal" test_truncated_trace_is_not_fatal;
+          quick "undecodable records offline" test_undecodable_records_offline;
         ] );
       ( "ledger",
         [

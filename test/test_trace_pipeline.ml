@@ -7,7 +7,6 @@ module Json = Obs.Json
 module Sink = Obs.Sink
 module Btrace = Obs.Btrace
 module Trace_file = Obs.Trace_file
-module View = Obs.View
 module Trace = Lockss.Trace
 module Metrics = Lockss.Metrics
 module Admission = Lockss.Admission
@@ -346,26 +345,12 @@ let test_trace_file_iter_binary_stops () =
 
 (* -- View fast path ------------------------------------------------------ *)
 
-let test_view_agrees_with_json () =
-  List.iteri
-    (fun i event ->
-      let time = 10. *. float_of_int (i + 1) in
-      let via_json = View.of_json (Trace.to_json ~time event) in
-      let direct = Trace.to_view ~time event in
-      match via_json with
-      | None -> Alcotest.failf "%s: of_json returned None" (Trace.kind event)
-      | Some v ->
-        Alcotest.(check bool)
-          (Trace.kind event ^ ": to_view = of_json . to_json")
-          true (v = direct))
-    sample_events;
-  Alcotest.(check int) "whole taxonomy" (List.length Trace.all_kinds)
-    (List.length sample_events)
-
 let test_write_jsonl_byte_parity () =
   (* The direct serializer must emit exactly the bytes of the generic
      JSON path for every event kind, including awkward times and
      escape-needing strings. *)
+  Alcotest.(check int) "whole taxonomy" (List.length Trace.all_kinds)
+    (List.length sample_events);
   let times = [ 0.; 1.5; 86_400.; 5_831_999.734_210_6; 1e13; 0.000_123_456_789 ] in
   let events =
     Trace.Invariant_violated
@@ -447,22 +432,6 @@ let test_codec_allocation () =
           check "buffered_jsonl_sink" 5.28
             (words_per_event (Trace.buffered_jsonl_sink sink))));
   check "to_view" 20.32 (words_per_event (fun ~time e -> ignore (Trace.to_view ~time e)))
-
-let test_analyzer_parity_json_vs_view () =
-  (* Feeding serialised JSON and feeding typed views must produce the
-     same report: the live fast path cannot drift from the offline
-     path. *)
-  let via_json = Obs.Analyze.create () in
-  let via_view = Obs.Analyze.create () in
-  List.iteri
-    (fun i event ->
-      let time = 10. *. float_of_int (i + 1) in
-      Obs.Analyze.feed via_json (Trace.to_json ~time event);
-      Obs.Analyze.feed_view via_view (Trace.to_view ~time event))
-    sample_events;
-  Alcotest.(check string) "identical reports"
-    (Json.to_string (Obs.Analyze.report_json via_json))
-    (Json.to_string (Obs.Analyze.report_json via_view))
 
 (* -- Emit short-circuiting ----------------------------------------------- *)
 
@@ -578,26 +547,31 @@ let test_run_trace_encodings_agree () =
                  byte-identically. *)
               let report path =
                 let analyzer = Obs.Analyze.create () in
-                Obs.Analyze.read_file analyzer path;
+                ignore
+                  (Trace.iter_file path ~f:(fun ~line record ->
+                       Obs.Analyze.feed_record analyzer ~line
+                         (Result.map (fun (time, e) -> Trace.to_view ~time e) record)));
                 Json.to_string (Obs.Analyze.report_json analyzer)
               in
               Alcotest.(check string) "identical trace-report" (report jsonl_file)
                 (report binary_file);
-              (* And converting jsonl -> binary reproduces the stream. *)
-              let reencoded = ref [] in
-              ignore
-                (Trace_file.iter jsonl_file ~f:(fun ~line:_ result ->
-                     match result with
-                     | Ok json -> reencoded := json :: !reencoded
-                     | Error msg -> Alcotest.failf "jsonl record: %s" msg));
-              let from_binary = ref [] in
-              ignore
-                (Trace_file.iter binary_file ~f:(fun ~line:_ result ->
-                     match result with
-                     | Ok json -> from_binary := json :: !from_binary
-                     | Error msg -> Alcotest.failf "binary record: %s" msg));
-              Alcotest.(check bool) "identical json streams" true
-                (List.rev !reencoded = List.rev !from_binary))))
+              (* And re-encoding either file's typed events through the
+                 other encoding's sink writes that file byte for byte. *)
+              let convert src sink_of =
+                with_temp_file (fun dst ->
+                    Sink.with_file dst (fun sink ->
+                        let write = sink_of sink in
+                        ignore
+                          (Trace.iter_file src ~f:(fun ~line record ->
+                               match record with
+                               | Ok (time, e) -> write ~time e
+                               | Error msg -> Alcotest.failf "%s:%d: %s" src line msg)));
+                    read_all dst)
+              in
+              Alcotest.(check string) "jsonl -> binary" (read_all binary_file)
+                (convert jsonl_file (fun sink -> Trace.binary_sink (Btrace.writer sink)));
+              Alcotest.(check string) "binary -> jsonl" (read_all jsonl_file)
+                (convert binary_file (fun sink -> Trace.buffered_jsonl_sink sink)))))
 
 (* -- Profiler ------------------------------------------------------------ *)
 
@@ -930,11 +904,9 @@ let () =
         ] );
       ( "view fast path",
         [
-          tc "to_view agrees with of_json" `Quick test_view_agrees_with_json;
           tc "write_jsonl byte parity" `Quick test_write_jsonl_byte_parity;
           tc "binary sink byte parity" `Quick test_binary_sink_byte_parity;
           tc "codec allocation per event" `Quick test_codec_allocation;
-          tc "analyzer parity json vs view" `Quick test_analyzer_parity_json_vs_view;
         ] );
       ( "emit short-circuit",
         [
