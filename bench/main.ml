@@ -168,22 +168,23 @@ let run_profile () =
   List.iter
     (fun (name, attack) ->
       let wall0 = Unix.gettimeofday () in
-      let p =
-        Scenario.run_one_profiled ~cfg ~seed:scale.Scenario.seed
-          ~years:scale.Scenario.years attack
-      in
+      let t0 = Sys.time () in
+      let population = Scenario.build ~cfg ~seed:scale.Scenario.seed attack in
+      let t1 = Sys.time () in
+      Lockss.Population.run population ~until:(Duration.of_years scale.Scenario.years);
+      let run_cpu_s = Sys.time () -. t1 in
       let wall = Unix.gettimeofday () -. wall0 in
+      let stats = Narses.Engine.stats (Lockss.Population.engine population) in
       let events_per_sec =
-        if p.Scenario.run_cpu_s > 0. then
-          float_of_int p.Scenario.engine.Narses.Engine.executed /. p.Scenario.run_cpu_s
+        if run_cpu_s > 0. then float_of_int stats.Narses.Engine.executed /. run_cpu_s
         else nan
       in
       Printf.printf "%s:\n" name;
-      Format.printf "  %a@." Narses.Engine.pp_stats p.Scenario.engine;
+      Format.printf "  %a@." Narses.Engine.pp_stats stats;
       Printf.printf "  throughput: %.0f events/s (%.2fs cpu run phase)\n" events_per_sec
-        p.Scenario.run_cpu_s;
+        run_cpu_s;
       Printf.printf "  phases: setup %.3fs cpu, run %.2fs cpu, total %.2fs wall\n"
-        p.Scenario.setup_cpu_s p.Scenario.run_cpu_s wall)
+        (t1 -. t0) run_cpu_s wall)
     profile_targets
 
 (* -- Bechamel micro-benchmarks ---------------------------------------- *)
@@ -219,12 +220,12 @@ let bechamel_tests () =
            Narses.Engine.run engine));
     Test.make ~name:"heap: 10k push/pop"
       (Staged.stage (fun () ->
-           let heap = Repro_prelude.Heap.create ~cmp:Int.compare in
+           let heap = Repro_prelude.Tsheap.create ~dummy:0 () in
            for i = 10_000 downto 1 do
-             Repro_prelude.Heap.add heap i
+             Repro_prelude.Tsheap.add heap ~time:(float_of_int i) ~seq:i i
            done;
-           while not (Repro_prelude.Heap.is_empty heap) do
-             ignore (Repro_prelude.Heap.pop heap)
+           while not (Repro_prelude.Tsheap.is_empty heap) do
+             Repro_prelude.Tsheap.drop_min heap
            done));
     Test.make ~name:"rng: 100k draws"
       (Staged.stage (fun () ->
@@ -883,8 +884,9 @@ let run_check () =
   let violations = ref 0 in
   let on_ =
     best_cpu ~repeats (fun () ->
-        let _, vs = Scenario.run_one_audited ~cfg ~seed ~years Scenario.No_attack in
-        violations := List.length vs)
+        let auditor = Scenario.make_auditor ~cfg () in
+        ignore (Scenario.run_one ~check:auditor ~cfg ~seed ~years Scenario.No_attack);
+        violations := Check.Auditor.violation_count auditor)
   in
   let overhead = if off > 0. then on_ /. off else nan in
   let table = Table.create [ "variant"; "best cpu (s)"; "overhead" ] in

@@ -172,6 +172,13 @@ let mix_term (d : Chaos.mix) =
     const make $ loss $ jitter $ dup $ churn $ downtime_days $ corrupt $ replay $ stale
     $ stray $ fault_seed)
 
+(* The chaos and soak commands reject an invalid mix before running. *)
+let validate_mix mix =
+  try Narses.Faults.validate (Chaos.faults_config mix)
+  with Invalid_argument msg ->
+    Printf.eprintf "invalid fault mix: %s\n" msg;
+    exit 2
+
 let zero_mix =
   {
     Chaos.default_mix with
@@ -323,19 +330,6 @@ let emit_manifest ~manifest_out ~handle ~seeds ?targets ?fault_mix () =
 let seeds_of_scale (scale : Scenario.scale) =
   List.init scale.Scenario.runs (fun i -> scale.Scenario.seed + i)
 
-let fault_mix_json (m : Chaos.mix) =
-  Obs.Json.Assoc
-    [
-      ("loss", Obs.Json.Float m.Chaos.loss);
-      ("jitter", Obs.Json.Float m.Chaos.jitter);
-      ("duplication", Obs.Json.Float m.Chaos.duplication);
-      ("churn_per_day", Obs.Json.Float m.Chaos.churn_per_day);
-      ("downtime", Obs.Json.Float m.Chaos.downtime);
-      ("corruption", Obs.Json.Float m.Chaos.corruption);
-      ("replay", Obs.Json.Float m.Chaos.replay);
-      ("stale", Obs.Json.Float m.Chaos.stale);
-    ]
-
 let baseline_dir =
   Arg.(
     value
@@ -410,11 +404,10 @@ let duration_days =
     & opt float 90.
     & info [ "attack-days" ] ~docv:"D" ~doc:"Attack duration per cycle, in days.")
 
-let attack_of kind ~coverage ~duration_days ~years =
+let attack_of kind ~coverage ~duration_days =
   let duration = Duration.of_days duration_days in
   let recuperation = Duration.of_days 30. in
   let brute strategy = Scenario.Brute_force { strategy; rate = 5.; identities = 50 } in
-  ignore years;
   match kind with
   | A_none -> Scenario.No_attack
   | A_stoppage -> Scenario.Pipe_stoppage { coverage; duration; recuperation }
@@ -466,38 +459,27 @@ let run_cmd =
      with Invalid_argument msg ->
        Printf.eprintf "invalid configuration: %s\n" msg;
        exit 2);
-    let attack = attack_of kind ~coverage ~duration_days ~years in
-    let print_comparison c =
-      Format.printf "baseline:@.%a@.@.under attack:@.%a@.@." Lockss.Metrics.pp_summary
-        c.Scenario.baseline Lockss.Metrics.pp_summary c.Scenario.attack;
-      Format.printf
-        "access failure: %.3e@.delay ratio: %.2f@.coefficient of friction: %.2f@.cost \
-         ratio: %.2f@."
-        c.Scenario.access_failure c.Scenario.delay_ratio c.Scenario.friction
-        c.Scenario.cost_ratio
+    let attack = attack_of kind ~coverage ~duration_days in
+    let audits =
+      match attack with
+      | Scenario.No_attack ->
+        let summaries, audits = Scenario.run_all ?observe ~check ~cfg scale attack in
+        Format.printf "%a@." Lockss.Metrics.pp_summary (Scenario.mean_summaries summaries);
+        List.map (fun (seed, vs) -> ("run", seed, vs)) audits
+      | _ ->
+        let c, audits = Scenario.compare_runs ?observe ~check ~cfg scale attack in
+        Format.printf "baseline:@.%a@.@.under attack:@.%a@.@." Lockss.Metrics.pp_summary
+          c.Scenario.baseline Lockss.Metrics.pp_summary c.Scenario.attack;
+        Format.printf
+          "access failure: %.3e@.delay ratio: %.2f@.coefficient of friction: %.2f@.cost \
+           ratio: %.2f@."
+          c.Scenario.access_failure c.Scenario.delay_ratio c.Scenario.friction
+          c.Scenario.cost_ratio;
+        audits
     in
-    let violations =
-      match (attack, check) with
-      | Scenario.No_attack, false ->
-        let summary = Scenario.run_avg ?observe ~cfg scale Scenario.No_attack in
-        Format.printf "%a@." Lockss.Metrics.pp_summary summary;
-        0
-      | Scenario.No_attack, true ->
-        let summary, audits =
-          Scenario.run_avg_audited ?observe ~cfg scale Scenario.No_attack
-        in
-        Format.printf "%a@." Lockss.Metrics.pp_summary summary;
-        report_audits (List.map (fun (seed, vs) -> ("run", seed, vs)) audits)
-      | _, false ->
-        print_comparison (Scenario.compare_runs ?observe ~cfg scale attack);
-        0
-      | _, true ->
-        let c, audits = Scenario.compare_runs_audited ?observe ~cfg scale attack in
-        print_comparison c;
-        report_audits audits
-    in
+    let violations = if check then report_audits audits else 0 in
     let fault_mix =
-      if Narses.Faults.is_none fault_cfg then None else Some (fault_mix_json mix)
+      if Narses.Faults.is_none fault_cfg then None else Some (Chaos.mix_json mix)
     in
     emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale) ?fault_mix ();
     if violations > 0 then exit 1
@@ -525,15 +507,11 @@ let chaos_cmd =
       & info [ "ablation" ]
           ~doc:"Also print the faults × pipe-stoppage ablation table (4 extra runs).")
   in
-  let action peers aus quorum years runs seed jobs kind coverage duration_days mix
-      ablation =
+  let action peers aus quorum years seed jobs kind coverage duration_days mix ablation =
     set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let attack = attack_of kind ~coverage ~duration_days ~years in
-    (try Narses.Faults.validate (Chaos.faults_config mix)
-     with Invalid_argument msg ->
-       Printf.eprintf "invalid fault mix: %s\n" msg;
-       exit 2);
+    let scale = scale_of ~peers ~aus ~quorum ~years ~runs:1 ~seed in
+    let attack = attack_of kind ~coverage ~duration_days in
+    validate_mix mix;
     let report = Chaos.run ~scale ~attack mix in
     Format.printf "%a" Chaos.pp_report report;
     if ablation then Repro_prelude.Table.print (Chaos.ablation ~scale mix);
@@ -541,8 +519,8 @@ let chaos_cmd =
   in
   let term =
     Term.(
-      const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ attack_kind
-      $ coverage $ duration_days $ mix_term Chaos.default_mix $ ablation)
+      const action $ peers $ aus $ quorum $ years $ seed $ jobs $ attack_kind $ coverage
+      $ duration_days $ mix_term Chaos.default_mix $ ablation)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -570,35 +548,32 @@ let soak_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the machine-readable soak report to $(docv).")
   in
-  let action peers aus quorum years runs seed jobs kind coverage duration_days mix
-      seeds_count json_out =
+  let action peers aus quorum years seed jobs kind coverage duration_days mix seeds_count
+      json_out =
     set_jobs jobs;
     if seeds_count < 1 then begin
       Printf.eprintf "invalid --seeds: need at least one seed\n";
       exit 2
     end;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let attack = attack_of kind ~coverage ~duration_days ~years in
-    (try Narses.Faults.validate (Chaos.faults_config mix)
-     with Invalid_argument msg ->
-       Printf.eprintf "invalid fault mix: %s\n" msg;
-       exit 2);
+    let scale = scale_of ~peers ~aus ~quorum ~years ~runs:1 ~seed in
+    let attack = attack_of kind ~coverage ~duration_days in
+    validate_mix mix;
     let seeds = List.init seeds_count (fun i -> seed + i) in
-    let report = Experiments.Soak.run ~scale ~attack ~seeds mix in
-    Format.printf "%a" Experiments.Soak.pp_report report;
+    let report = Chaos.soak ~scale ~attack ~seeds mix in
+    Format.printf "%a" Chaos.pp_soak report;
     (match json_out with
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      output_string oc (Obs.Json.to_string (Experiments.Soak.report_json report));
+      output_string oc (Obs.Json.to_string (Chaos.soak_json report));
       output_char oc '\n';
       close_out oc);
-    if not (Experiments.Soak.all_clean report) then exit 1
+    if not (Chaos.all_clean report) then exit 1
   in
   let term =
     Term.(
-      const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ attack_kind
-      $ coverage $ duration_days $ mix_term Chaos.default_mix $ seeds_count $ json_out)
+      const action $ peers $ aus $ quorum $ years $ seed $ jobs $ attack_kind $ coverage
+      $ duration_days $ mix_term Chaos.default_mix $ seeds_count $ json_out)
   in
   Cmd.v
     (Cmd.info "soak"

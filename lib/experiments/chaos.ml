@@ -47,6 +47,35 @@ let faults_config mix =
     fault_seed = mix.fault_seed;
   }
 
+let mix_json mix =
+  let c = faults_config mix in
+  Obs.Json.Assoc
+    [
+      ("loss", Obs.Json.Float c.Faults.loss);
+      ("jitter", Obs.Json.Float c.Faults.jitter);
+      ("duplication", Obs.Json.Float c.Faults.duplication);
+      ("churn_per_day", Obs.Json.Float c.Faults.churn_per_day);
+      ("downtime", Obs.Json.Float c.Faults.downtime);
+      ("corruption", Obs.Json.Float c.Faults.corruption);
+      ("replay", Obs.Json.Float c.Faults.replay);
+      ("stale", Obs.Json.Float c.Faults.stale);
+      ("stale_delay", Obs.Json.Float c.Faults.stale_delay);
+      ("stray", Obs.Json.Float c.Faults.stray);
+      ("fault_seed", Obs.Json.Int c.Faults.fault_seed);
+    ]
+
+type fault_counts = {
+  dropped : int;
+  duplicated : int;
+  delayed : int;
+  corrupted : int;
+  replayed : int;
+  stale : int;
+  stray : int;
+  crashes : int;
+  restarts : int;
+}
+
 type check = { name : string; ok : bool; detail : string }
 
 type report = {
@@ -54,15 +83,7 @@ type report = {
   faulty : Lockss.Metrics.summary;
   fault_free : Lockss.Metrics.summary;
   comparison : Scenario.comparison;
-  injected_drops : int;
-  injected_dups : int;
-  injected_delays : int;
-  injected_corruptions : int;
-  injected_replays : int;
-  injected_stales : int;
-  injected_strays : int;
-  crashes : int;
-  restarts : int;
+  faults : fault_counts;
 }
 
 let all_green r = List.for_all (fun c -> c.ok) r.checks
@@ -114,18 +135,13 @@ let check_pending_growth ~pending_mid ~pending_end =
         pending_end allowance;
   }
 
-let check_conservation population ~pending_end =
+let check_conservation population ~dups ~pending_end =
   let ctx = Lockss.Population.ctx population in
   let net = ctx.Lockss.Peer.net in
   let sent = Narses.Net.sent_count net in
   let delivered = Narses.Net.delivered_count net in
   let dropped = Narses.Net.dropped_count net in
   let injected = Narses.Net.injected_count net in
-  let dups =
-    match Lockss.Population.faults population with
-    | None -> 0
-    | Some f -> Faults.duplicated_count f
-  in
   (* Every copy a send produced (one per send, plus one per duplication,
      plus one per replay/stale re-injection from the delivery ring) is
      eventually delivered, dropped, or still scheduled in the engine. *)
@@ -139,23 +155,17 @@ let check_conservation population ~pending_end =
         dups injected delivered dropped in_flight;
   }
 
-let check_churn_accounting population =
-  match Lockss.Population.faults population with
-  | None -> { name = "churn accounting"; ok = true; detail = "no injector attached" }
-  | Some f ->
-    let crashes = Faults.crash_count f in
-    let restarts = Faults.restart_count f in
-    let down = Faults.down_count f in
-    {
-      name = "churn accounting";
-      ok = crashes = restarts + down;
-      detail = Printf.sprintf "crashes %d = restarts %d + still down %d" crashes restarts down;
-    }
+let check_churn_accounting injector =
+  let crashes = Faults.crash_count injector in
+  let restarts = Faults.restart_count injector in
+  let down = Faults.down_count injector in
+  {
+    name = "churn accounting";
+    ok = crashes = restarts + down;
+    detail = Printf.sprintf "crashes %d = restarts %d + still down %d" crashes restarts down;
+  }
 
-let check_leak_audit population =
-  let ctx = Lockss.Population.ctx population in
-  let engine = Lockss.Population.engine population in
-  let leaks = Check.Leak.audit ~engine ~ctx in
+let check_leak_audit leaks =
   {
     name = "leak audit";
     ok = leaks = [];
@@ -192,63 +202,129 @@ let check_degradation ~(fault_free : Lockss.Metrics.summary)
         afp base bound;
   }
 
-(* -- The harness -------------------------------------------------------- *)
+(* -- One faulted seed ------------------------------------------------- *)
+
+type seed_run = {
+  population : Lockss.Population.t;
+  summary : Lockss.Metrics.summary;
+  pending_mid : int;
+  pending_end : int;
+  handler_exn : exn option;
+  audit : Check.Invariant.violation list;
+  leaks : Check.Invariant.violation list;
+  rejected_by_reason : (string * int) list;
+  faults : fault_counts;
+}
+
+let fault_counts f =
+  {
+    dropped = Faults.dropped_count f;
+    duplicated = Faults.duplicated_count f;
+    delayed = Faults.delayed_count f;
+    corrupted = Faults.corrupted_count f;
+    replayed = Faults.replayed_count f;
+    stale = Faults.stale_count f;
+    stray = Faults.stray_count f;
+    crashes = Faults.crash_count f;
+    restarts = Faults.restart_count f;
+  }
+
+(* A population built with a fault config always carries its injector. *)
+let injector population = Option.get (Lockss.Population.faults population)
+
+let run_seed ?check ?(attack = Scenario.No_attack) ~scale ~seed mix =
+  let faults = faults_config mix in
+  Faults.validate faults;
+  let cfg = { (Scenario.config scale) with Lockss.Config.faults = Some faults } in
+  let population = Scenario.build ~cfg ~seed attack in
+  let trace = Lockss.Population.trace population in
+  (* Only a checked run subscribes the auditor and the Debug-level
+     rejection tally, so an unchecked run builds no Debug event at all
+     when nothing else subscribes. *)
+  let auditor =
+    Option.map
+      (fun make ->
+        let auditor = make ~cfg () in
+        Check.Auditor.attach auditor trace;
+        auditor)
+      check
+  in
+  let by_reason = Hashtbl.create 16 in
+  if Option.is_some check then
+    Lockss.Trace.subscribe ~interest:Lockss.Trace.Debug trace (fun ~time:_ event ->
+        match event with
+        | Lockss.Trace.Message_rejected { reason; _ } ->
+          let key = Lockss.Trace.reject_reason_to_string reason in
+          Hashtbl.replace by_reason key
+            (1 + Option.value ~default:0 (Hashtbl.find_opt by_reason key))
+        | _ -> ());
+  let engine = Lockss.Population.engine population in
+  let horizon = Duration.of_years scale.Scenario.years in
+  let pending_mid = ref 0 in
+  let handler_exn =
+    (* An exception escaping a handler is what the fault harnesses exist
+       to catch: keep it as the run's result instead of unwinding past
+       the audits. *)
+    try
+      Lockss.Population.run ~max_events:event_budget population ~until:(horizon /. 2.);
+      pending_mid := Engine.pending engine;
+      Lockss.Population.run ~max_events:event_budget population ~until:horizon;
+      None
+    with exn -> Some exn
+  in
+  let summary = Lockss.Population.summary population in
+  let audit =
+    match auditor with
+    | None -> []
+    | Some auditor ->
+      Check.Auditor.finish ~metrics:summary auditor;
+      Check.Auditor.violations auditor
+  in
+  let leaks =
+    (* A crashed run leaves arbitrary mid-flight state; the exception is
+       already the failure, so only quiescent runs are leak-audited. *)
+    if Option.is_none handler_exn then
+      Check.Leak.audit ~engine ~ctx:(Lockss.Population.ctx population)
+    else []
+  in
+  {
+    population;
+    summary;
+    pending_mid = !pending_mid;
+    pending_end = Engine.pending engine;
+    handler_exn;
+    audit;
+    leaks;
+    rejected_by_reason =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_reason [] |> List.sort compare;
+    faults = fault_counts (injector population);
+  }
+
+(* -- The paired chaos run ----------------------------------------------- *)
 
 let run ?(scale = Scenario.bench) ?(attack = Scenario.No_attack) mix =
-  Faults.validate (faults_config mix);
-  let base_cfg = Scenario.config scale in
-  let cfg = { base_cfg with Lockss.Config.faults = Some (faults_config mix) } in
-  let seed = scale.Scenario.seed in
-  let horizon = Duration.of_years scale.Scenario.years in
   (* The faulted run and its fault-free pair share nothing (each builds
      its own population from the seed), so they run on two domains when
      available; results are deterministic either way. *)
-  let (population, pending_mid, pending_end, faulty), fault_free =
+  let r, fault_free =
     Runner.both
-      (fun () ->
-        let population = Scenario.build ~cfg ~seed attack in
-        let engine = Lockss.Population.engine population in
-        Lockss.Population.run ~max_events:event_budget population ~until:(horizon /. 2.);
-        let pending_mid = Engine.pending engine in
-        Lockss.Population.run ~max_events:event_budget population ~until:horizon;
-        let pending_end = Engine.pending engine in
-        (population, pending_mid, pending_end, Lockss.Population.summary population))
+      (fun () -> run_seed ~attack ~scale ~seed:scale.Scenario.seed mix)
       (fun () ->
         Scenario.run_one
-          ~cfg:{ base_cfg with Lockss.Config.faults = None }
-          ~seed ~years:scale.Scenario.years attack)
+          ~cfg:{ (Scenario.config scale) with Lockss.Config.faults = None }
+          ~seed:scale.Scenario.seed ~years:scale.Scenario.years attack)
   in
-  let comparison = Scenario.ratios ~baseline:fault_free ~attack:faulty in
-  let ( injected_drops,
-        injected_dups,
-        injected_delays,
-        injected_corruptions,
-        injected_replays,
-        injected_stales,
-        injected_strays,
-        crashes,
-        restarts ) =
-    match Lockss.Population.faults population with
-    | None -> (0, 0, 0, 0, 0, 0, 0, 0, 0)
-    | Some f ->
-      ( Faults.dropped_count f,
-        Faults.duplicated_count f,
-        Faults.delayed_count f,
-        Faults.corrupted_count f,
-        Faults.replayed_count f,
-        Faults.stale_count f,
-        Faults.stray_count f,
-        Faults.crash_count f,
-        Faults.restart_count f )
-  in
+  Option.iter raise r.handler_exn;
+  let faulty = r.summary in
   let checks =
     [
       check_liveness faulty;
-      check_no_stuck_poll population;
-      check_pending_growth ~pending_mid ~pending_end;
-      check_conservation population ~pending_end;
-      check_churn_accounting population;
-      check_leak_audit population;
+      check_no_stuck_poll r.population;
+      check_pending_growth ~pending_mid:r.pending_mid ~pending_end:r.pending_end;
+      check_conservation r.population ~dups:r.faults.duplicated
+        ~pending_end:r.pending_end;
+      check_churn_accounting (injector r.population);
+      check_leak_audit r.leaks;
       check_degradation ~fault_free ~faulty;
     ]
   in
@@ -256,26 +332,18 @@ let run ?(scale = Scenario.bench) ?(attack = Scenario.No_attack) mix =
     checks;
     faulty;
     fault_free;
-    comparison;
-    injected_drops;
-    injected_dups;
-    injected_delays;
-    injected_corruptions;
-    injected_replays;
-    injected_stales;
-    injected_strays;
-    crashes;
-    restarts;
+    comparison = Scenario.ratios ~baseline:fault_free ~attack:faulty;
+    faults = r.faults;
   }
 
-let pp_report ppf r =
+let pp_report ppf (r : report) =
+  let f = r.faults in
   Format.fprintf ppf
     "Chaos run: %d faults injected (%d drops, %d dups, %d delays, %d corruptions, %d \
      replays, %d stales, %d strays), %d crashes, %d restarts@."
-    (r.injected_drops + r.injected_dups + r.injected_delays + r.injected_corruptions
-    + r.injected_replays + r.injected_stales + r.injected_strays)
-    r.injected_drops r.injected_dups r.injected_delays r.injected_corruptions
-    r.injected_replays r.injected_stales r.injected_strays r.crashes r.restarts;
+    (f.dropped + f.duplicated + f.delayed + f.corrupted + f.replayed + f.stale + f.stray)
+    f.dropped f.duplicated f.delayed f.corrupted f.replayed f.stale f.stray f.crashes
+    f.restarts;
   Format.fprintf ppf
     "  polls: %d ok / %d inquorate / %d alarmed under faults; %d ok fault-free@."
     r.faulty.Lockss.Metrics.polls_succeeded r.faulty.Lockss.Metrics.polls_inquorate
@@ -289,6 +357,104 @@ let pp_report ppf r =
     r.checks;
   Format.fprintf ppf "  %s@."
     (if all_green r then "all invariants green" else "INVARIANT VIOLATION")
+
+(* -- The multi-seed soak ------------------------------------------------ *)
+
+type seed_report = {
+  seed : int;
+  polls_succeeded : int;
+  rejected : int;
+  rejected_by_reason : (string * int) list;
+  injected : int;
+  violations : Check.Invariant.violation list;
+  handler_exn : string option;
+}
+
+type soak_report = { mix : mix; years : float; seeds : seed_report list }
+
+let seed_clean s =
+  s.handler_exn = None && s.violations = [] && s.polls_succeeded > 0
+
+let all_clean r = List.for_all seed_clean r.seeds
+
+let seed_report ~seed (r : seed_run) =
+  {
+    seed;
+    polls_succeeded = r.summary.Lockss.Metrics.polls_succeeded;
+    rejected = List.fold_left (fun acc (_, n) -> acc + n) 0 r.rejected_by_reason;
+    rejected_by_reason = r.rejected_by_reason;
+    injected = r.faults.corrupted + r.faults.replayed + r.faults.stale + r.faults.stray;
+    violations = r.audit @ r.leaks;
+    handler_exn = Option.map Printexc.to_string r.handler_exn;
+  }
+
+let soak ?(scale = Scenario.bench) ?attack ~seeds mix =
+  (* Each seed is reduced to its report on its own worker, so no
+     population outlives its run. *)
+  let seeds =
+    Runner.map
+      (fun seed ->
+        seed_report ~seed
+          (run_seed ~check:Scenario.make_auditor ?attack ~scale ~seed mix))
+      seeds
+  in
+  { mix; years = scale.Scenario.years; seeds }
+
+let pp_soak ppf r =
+  Format.fprintf ppf "Soak: %d seeds x %.2f years under the full fault mix@."
+    (List.length r.seeds) r.years;
+  List.iter
+    (fun s ->
+      Format.fprintf ppf
+        "  seed %-4d %s: %d polls ok, %d faults injected, %d messages rejected (%s)@."
+        s.seed
+        (if seed_clean s then "clean" else "DIRTY")
+        s.polls_succeeded s.injected s.rejected
+        (if s.rejected_by_reason = [] then "-"
+         else
+           String.concat ", "
+             (List.map
+                (fun (reason, n) -> Printf.sprintf "%s %d" reason n)
+                s.rejected_by_reason));
+      (match s.handler_exn with
+      | Some exn -> Format.fprintf ppf "    handler exception: %s@." exn
+      | None -> ());
+      List.iter
+        (fun v -> Format.fprintf ppf "    %a@." Check.Invariant.pp_violation v)
+        s.violations)
+    r.seeds;
+  let dirty = List.filter (fun s -> not (seed_clean s)) r.seeds in
+  Format.fprintf ppf "soak verdict: %s@."
+    (if dirty = [] then "all seeds clean"
+     else
+       Printf.sprintf "%d/%d seeds dirty" (List.length dirty) (List.length r.seeds))
+
+let soak_json r =
+  let seed_json s =
+    Obs.Json.Assoc
+      [
+        ("seed", Obs.Json.Int s.seed);
+        ("clean", Obs.Json.Bool (seed_clean s));
+        ("polls_succeeded", Obs.Json.Int s.polls_succeeded);
+        ("injected", Obs.Json.Int s.injected);
+        ("rejected", Obs.Json.Int s.rejected);
+        ( "rejected_by_reason",
+          Obs.Json.Assoc
+            (List.map (fun (k, v) -> (k, Obs.Json.Int v)) s.rejected_by_reason) );
+        ( "handler_exn",
+          match s.handler_exn with
+          | None -> Obs.Json.Null
+          | Some exn -> Obs.Json.String exn );
+        ( "violations",
+          Obs.Json.List (List.map Check.Invariant.violation_to_json s.violations) );
+      ]
+  in
+  Obs.Json.Assoc
+    [
+      ("years", Obs.Json.Float r.years);
+      ("seeds", Obs.Json.List (List.map seed_json r.seeds));
+      ("clean", Obs.Json.Bool (all_clean r));
+    ]
 
 (* -- Attack-under-faults ablation --------------------------------------- *)
 

@@ -343,36 +343,6 @@ let run_one ?observe ?check ~cfg ~seed ~years attack =
 let make_auditor ~cfg () =
   Check.Auditor.create ~params:(Check.Invariant.params_of_config cfg) ()
 
-let run_one_audited ?observe ~cfg ~seed ~years attack =
-  let auditor = make_auditor ~cfg () in
-  let summary = run_one ?observe ~check:auditor ~cfg ~seed ~years attack in
-  (summary, Check.Auditor.violations auditor)
-
-type profile = {
-  summary : Lockss.Metrics.summary;
-  engine : Narses.Engine.stats;
-  setup_cpu_s : float;
-  run_cpu_s : float;
-  gc : Obs.Profiler.gc;
-}
-
-let run_one_profiled ?observe ~cfg ~seed ~years attack =
-  let gc0 = Obs.Profiler.gc_now () in
-  let t0 = Sys.time () in
-  let population = build ~cfg ~seed attack in
-  let cleanup = subscribe_observers ~observe ~seed population in
-  Fun.protect ~finally:cleanup (fun () ->
-      let t1 = Sys.time () in
-      Lockss.Population.run population ~until:(Duration.of_years years);
-      let t2 = Sys.time () in
-      {
-        summary = Lockss.Population.summary population;
-        engine = Narses.Engine.stats (Lockss.Population.engine population);
-        setup_cpu_s = t1 -. t0;
-        run_cpu_s = t2 -. t1;
-        gc = Obs.Profiler.gc_delta ~before:gc0 ~after:(Obs.Profiler.gc_now ());
-      })
-
 let mean_summaries (summaries : Lockss.Metrics.summary list) =
   match summaries with
   | [] -> invalid_arg "Scenario.mean_summaries: no runs"
@@ -427,31 +397,25 @@ let mean_summaries (summaries : Lockss.Metrics.summary list) =
       empirical_read_failure = read_failure;
     }
 
-let run_all ?observe ~cfg scale attack =
-  Runner.map
-    (fun i -> run_one ?observe ~cfg ~seed:(scale.seed + i) ~years:scale.years attack)
-    (List.init scale.runs Fun.id)
+(* One auditor per run (runs execute on separate domains), violations
+   merged back in seed order by [Runner.map], so a multi-run audit is as
+   deterministic as the runs themselves. *)
+let run_all ?observe ?(check = false) ~cfg scale attack =
+  let runs =
+    Runner.map
+      (fun i ->
+        let seed = scale.seed + i in
+        let auditor = if check then Some (make_auditor ~cfg ()) else None in
+        let summary =
+          run_one ?observe ?check:auditor ~cfg ~seed ~years:scale.years attack
+        in
+        (summary, Option.map (fun a -> (seed, Check.Auditor.violations a)) auditor))
+      (List.init scale.runs Fun.id)
+  in
+  (List.map fst runs, List.filter_map snd runs)
 
 let run_avg ?observe ~cfg scale attack =
-  mean_summaries (run_all ?observe ~cfg scale attack)
-
-(* Audited sweeps: one auditor per run (runs execute on separate
-   domains), violations merged back in seed order by [Runner.map], so a
-   multi-run audit is as deterministic as the runs themselves. *)
-let run_all_audited ?observe ~cfg scale attack =
-  List.split
-    (Runner.map
-       (fun i ->
-         let seed = scale.seed + i in
-         let summary, violations =
-           run_one_audited ?observe ~cfg ~seed ~years:scale.years attack
-         in
-         (summary, (seed, violations)))
-       (List.init scale.runs Fun.id))
-
-let run_avg_audited ?observe ~cfg scale attack =
-  let summaries, audits = run_all_audited ?observe ~cfg scale attack in
-  (mean_summaries summaries, audits)
+  mean_summaries (fst (run_all ?observe ~cfg scale attack))
 
 type spread = {
   mean : Lockss.Metrics.summary;
@@ -460,7 +424,7 @@ type spread = {
 }
 
 let run_spread ?observe ~cfg scale attack =
-  let runs = run_all ?observe ~cfg scale attack in
+  let runs, _ = run_all ?observe ~cfg scale attack in
   let afps = List.map (fun s -> s.Lockss.Metrics.access_failure_probability) runs in
   {
     mean = mean_summaries runs;
@@ -494,25 +458,16 @@ let ratios ~baseline ~attack =
         attack.Lockss.Metrics.loyal_effort;
   }
 
-let compare_runs ?observe ~cfg scale attack =
+let compare_runs ?observe ?check ~cfg scale attack =
   (* Both sides reuse the same seeds, so the baseline's sinks are
      retargeted to [.baseline]-suffixed paths. The two averaged sweeps
      are independent; run them on separate domains when available. *)
   let baseline_observe = Option.map (tag_observe "baseline") observe in
-  let baseline, attack_summary =
+  let (baseline, baseline_audits), (attacked, attack_audits) =
     Runner.both
-      (fun () -> run_avg ?observe:baseline_observe ~cfg scale No_attack)
-      (fun () -> run_avg ?observe ~cfg scale attack)
+      (fun () -> run_all ?observe:baseline_observe ?check ~cfg scale No_attack)
+      (fun () -> run_all ?observe ?check ~cfg scale attack)
   in
-  ratios ~baseline ~attack:attack_summary
-
-let compare_runs_audited ?observe ~cfg scale attack =
-  let baseline_observe = Option.map (tag_observe "baseline") observe in
-  let (baseline, baseline_audits), (attack_summary, attack_audits) =
-    Runner.both
-      (fun () -> run_avg_audited ?observe:baseline_observe ~cfg scale No_attack)
-      (fun () -> run_avg_audited ?observe ~cfg scale attack)
-  in
-  ( ratios ~baseline ~attack:attack_summary,
-    List.map (fun (seed, vs) -> ("baseline", seed, vs)) baseline_audits
-    @ List.map (fun (seed, vs) -> ("attack", seed, vs)) attack_audits )
+  let label side = List.map (fun (seed, vs) -> (side, seed, vs)) in
+  ( ratios ~baseline:(mean_summaries baseline) ~attack:(mean_summaries attacked),
+    label "baseline" baseline_audits @ label "attack" attack_audits )

@@ -7,6 +7,13 @@
     ratios, and the cost ratio compares attacker and defender effort
     within the attack run. {!compare_runs} packages that methodology.
 
+    Every plain seeded run goes through {!run_one}: observed runs pass
+    [?observe], audited runs pass [?check], and the sweeps above it
+    ({!run_all}, {!run_avg}, {!compare_runs}) only fan it out over seeds
+    and sides. Runs under an injected fault mix go through
+    {!Chaos.run_seed} instead; harnesses that time or probe a run
+    themselves start from {!build}.
+
     Two standard scales are provided. {!paper} is the configuration of
     Section 6.3 (100 peers, 3-month interval, quorum 10, 2 simulated
     years, 3 runs per data point). {!bench} is a proportionally reduced
@@ -127,48 +134,15 @@ val run_one : ?observe:observe -> ?check:Check.Auditor.t -> cfg:Lockss.Config.t 
     configuration ({!Check.Invariant.params_of_config}). *)
 val make_auditor : cfg:Lockss.Config.t -> unit -> Check.Auditor.t
 
-(** [run_one_audited] is {!run_one} with its own fresh auditor; returns
-    the summary and the violations observed (empty on a clean run). *)
-val run_one_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack ->
-  Lockss.Metrics.summary * Check.Invariant.violation list
-
-(** [run_all_audited] is {!run_all} with one auditor per run; the
-    violation lists come back seed-tagged, in seed order. *)
-val run_all_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary list * (int * Check.Invariant.violation list) list
-
-(** [run_avg_audited] averages like {!run_avg} and returns the
-    seed-tagged violations of every contributing run. *)
-val run_avg_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary * (int * Check.Invariant.violation list) list
-
-(** One scenario run with engine profiling attached: the summary plus the
-    engine's event statistics, the CPU seconds spent building the
-    population ([setup_cpu_s]) and executing events ([run_cpu_s]), and
-    the GC counter deltas across the whole run — enough to compute
-    events/second, allocation per event, and locate simulator hot
-    spots. *)
-type profile = {
-  summary : Lockss.Metrics.summary;
-  engine : Narses.Engine.stats;
-  setup_cpu_s : float;
-  run_cpu_s : float;
-  gc : Obs.Profiler.gc;
-}
-
-val run_one_profiled :
-  ?observe:observe -> cfg:Lockss.Config.t -> seed:int -> years:float -> attack ->
-  profile
-
-(** [run_all ?observe ~cfg scale attack] runs seeds [scale.seed],
+(** [run_all ?observe ?check ~cfg scale attack] runs seeds [scale.seed],
     [scale.seed+1], … in parallel over {!Runner} workers and returns the
-    summaries in seed order — byte-identical to a serial loop. *)
+    summaries in seed order — byte-identical to a serial loop. With
+    [check] (default [false]) each run gets its own {!make_auditor}, and
+    the second component holds every run's violations tagged with its
+    seed, in seed order; unchecked, it is empty. *)
 val run_all :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
-  Lockss.Metrics.summary list
+  ?observe:observe -> ?check:bool -> cfg:Lockss.Config.t -> scale -> attack ->
+  Lockss.Metrics.summary list * (int * Check.Invariant.violation list) list
 
 (** [run_avg ?observe ~cfg scale attack] is {!mean_summaries} of
     {!run_all}: [scale.runs] runs averaged ({!run_all}'s parallelism
@@ -206,16 +180,13 @@ type comparison = {
 val ratios : baseline:Lockss.Metrics.summary -> attack:Lockss.Metrics.summary ->
   comparison
 
-(** [compare_runs ?observe ~cfg scale attack] runs both sides (on two
-    domains when available) and returns the comparison; the baseline
-    side's observability paths are tagged [baseline] because both sides
-    reuse the same seeds. *)
+(** [compare_runs ?observe ?check ~cfg scale attack] runs both sides
+    (on two domains when available) and returns the comparison; the
+    baseline side's observability paths are tagged [baseline] because
+    both sides reuse the same seeds. With [check], both sides are
+    audited as in {!run_all}, and each violation list comes back tagged
+    with its side (["baseline"] or ["attack"]) and seed, baseline side
+    first; unchecked, the list is empty. *)
 val compare_runs :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack -> comparison
-
-(** [compare_runs_audited] audits both sides of the comparison; each
-    violation list is tagged with its side (["baseline"] or ["attack"])
-    and seed, baseline side first. *)
-val compare_runs_audited :
-  ?observe:observe -> cfg:Lockss.Config.t -> scale -> attack ->
+  ?observe:observe -> ?check:bool -> cfg:Lockss.Config.t -> scale -> attack ->
   comparison * (string * int * Check.Invariant.violation list) list

@@ -9,17 +9,16 @@
     compare and no pointer chase per comparison: a sift step reads two
     flats and branches.
 
-    Compared to {!Heap} holding a record per event, this removes the
-    per-event record (and the boxed float inside it, since a mixed
-    record boxes its float fields) and the [Some] allocation per
-    peek/pop. {!Heap} remains the general-purpose structure; this one
-    exists for hot paths keyed by time.
+    Compared to a generic comparator heap holding a record per event,
+    this removes the per-event record (and the boxed float inside it,
+    since a mixed record boxes its float fields) and the [Some]
+    allocation per peek/pop.
 
     Keys must not be NaN — NaN breaks the strict-weak-ordering the sift
     relies on. Callers validate (the engine rejects NaN schedule
     times). When [(time, seq)] pairs are unique, pop order is a total
-    order and therefore independent of internal layout: replacing
-    {!Heap} with this structure cannot reorder events. *)
+    order and therefore independent of internal layout: replacing a
+    comparator heap with this structure cannot reorder events. *)
 
 type 'a t
 

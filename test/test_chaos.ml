@@ -363,16 +363,123 @@ let test_chaos_harness_all_green () =
   Alcotest.(check bool) "no-stuck-poll invariant present" true
     (List.exists (fun (c : Chaos.check) -> c.Chaos.name = "no stuck poll") report.Chaos.checks);
   Alcotest.(check bool) "faults were actually injected" true
-    (report.Chaos.injected_drops > 0
-    && report.Chaos.injected_dups > 0
-    && report.Chaos.injected_delays > 0);
+    (report.Chaos.faults.dropped > 0
+    && report.Chaos.faults.duplicated > 0
+    && report.Chaos.faults.delayed > 0);
   Alcotest.(check bool) "content faults were actually injected" true
-    (report.Chaos.injected_corruptions > 0
-    && report.Chaos.injected_replays > 0
-    && report.Chaos.injected_stales > 0
-    && report.Chaos.injected_strays > 0);
+    (report.Chaos.faults.corrupted > 0
+    && report.Chaos.faults.replayed > 0
+    && report.Chaos.faults.stale > 0
+    && report.Chaos.faults.stray > 0);
   Alcotest.(check bool) "leak audit invariant present" true
     (List.exists (fun (c : Chaos.check) -> c.Chaos.name = "leak audit") report.Chaos.checks)
+
+(* -- The shared faulted-seed run ------------------------------------------ *)
+
+let harness_scale = { micro with Scenario.years = 1.; seed = 3 }
+
+(* Auditing only observes: the same faulted seed, checked and unchecked,
+   must be the same run. This is what lets the chaos paired run (which
+   runs unchecked) and the soak (which runs checked) share one loop. *)
+let test_checked_run_matches_unchecked () =
+  let run ?check () =
+    Chaos.run_seed ?check ~scale:harness_scale ~seed:3 Chaos.default_mix
+  in
+  let plain = run () in
+  let checked = run ~check:Scenario.make_auditor () in
+  Alcotest.(check bool) "equal summaries" true
+    (compare plain.Chaos.summary checked.Chaos.summary = 0);
+  Alcotest.(check bool) "equal fault counters" true
+    (plain.Chaos.faults = checked.Chaos.faults);
+  Alcotest.(check int) "equal mid-run pending" plain.Chaos.pending_mid
+    checked.Chaos.pending_mid;
+  Alcotest.(check int) "equal end pending" plain.Chaos.pending_end
+    checked.Chaos.pending_end;
+  Alcotest.(check bool) "both stopped cleanly" true
+    (plain.Chaos.handler_exn = None && checked.Chaos.handler_exn = None);
+  Alcotest.(check int) "checked run audits clean" 0 (List.length checked.Chaos.audit);
+  Alcotest.(check bool) "only the checked run tallies rejections" true
+    (plain.Chaos.rejected_by_reason = [] && checked.Chaos.rejected_by_reason <> [])
+
+(* The soak's dirty-seed path: an auditor whose refractory period is 100x
+   the configured one sees every legitimate re-admission as a violation. *)
+let test_soak_reports_dirty_seed () =
+  let strict ~cfg () =
+    let params = Check.Invariant.params_of_config cfg in
+    Check.Auditor.create
+      ~params:
+        { params with Check.Invariant.refractory_period = 100. *. params.refractory_period }
+      ()
+  in
+  let dirty =
+    Chaos.seed_report ~seed:4
+      (Chaos.run_seed ~check:strict ~scale:harness_scale ~seed:4 Chaos.default_mix)
+  in
+  let clean = Chaos.soak ~scale:harness_scale ~seeds:[ 3 ] Chaos.default_mix in
+  let report = { clean with Chaos.seeds = clean.Chaos.seeds @ [ dirty ] } in
+  Alcotest.(check bool) "refractory invariant fired" true
+    (dirty.Chaos.violations <> []
+    && List.for_all
+         (fun v -> v.Check.Invariant.invariant = "refractory")
+         dirty.Chaos.violations);
+  Alcotest.(check bool) "seed reported dirty" false (Chaos.seed_clean dirty);
+  Alcotest.(check bool) "report not clean" false (Chaos.all_clean report);
+  let text = Format.asprintf "%a" Chaos.pp_soak report in
+  Alcotest.(check bool) "printed DIRTY" true (contains text "seed 4    DIRTY");
+  Alcotest.(check bool) "printed the violation lines" true
+    (List.for_all
+       (fun v ->
+         contains text (Format.asprintf "    %a" Check.Invariant.pp_violation v))
+       dirty.Chaos.violations);
+  Alcotest.(check bool) "printed the verdict" true (contains text "1/2 seeds dirty");
+  let member k = function
+    | Obs.Json.Assoc kvs -> List.assoc k kvs
+    | _ -> Alcotest.fail "not an object"
+  in
+  let json = Chaos.soak_json report in
+  Alcotest.(check bool) "JSON report not clean" true
+    (member "clean" json = Obs.Json.Bool false);
+  match member "seeds" json with
+  | Obs.Json.List [ first; second ] ->
+    Alcotest.(check bool) "JSON clean seed" true (member "clean" first = Obs.Json.Bool true);
+    Alcotest.(check bool) "JSON dirty seed" true
+      (member "clean" second = Obs.Json.Bool false)
+  | _ -> Alcotest.fail "expected two seed entries"
+
+(* A run manifest must be able to replay the mix: every injector field
+   is written with its value. *)
+let test_mix_json_records_every_field () =
+  let mix =
+    {
+      Chaos.loss = 0.1;
+      jitter = 0.2;
+      duplication = 0.3;
+      churn_per_day = 0.4;
+      downtime = 5.;
+      corruption = 0.6;
+      replay = 0.7;
+      stale = 0.8;
+      stray = 0.9;
+      fault_seed = 11;
+    }
+  in
+  let expected =
+    [
+      ("loss", Obs.Json.Float 0.1);
+      ("jitter", Obs.Json.Float 0.2);
+      ("duplication", Obs.Json.Float 0.3);
+      ("churn_per_day", Obs.Json.Float 0.4);
+      ("downtime", Obs.Json.Float 5.);
+      ("corruption", Obs.Json.Float 0.6);
+      ("replay", Obs.Json.Float 0.7);
+      ("stale", Obs.Json.Float 0.8);
+      ("stale_delay", Obs.Json.Float (Chaos.faults_config mix).Faults.stale_delay);
+      ("stray", Obs.Json.Float 0.9);
+      ("fault_seed", Obs.Json.Int 11);
+    ]
+  in
+  Alcotest.(check bool) "every field with its value" true
+    (Chaos.mix_json mix = Obs.Json.Assoc expected)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -406,6 +513,15 @@ let () =
           quick "same seed, byte-identical trace" test_same_seed_identical_fault_trace;
           quick "different fault seed diverges" test_fault_seed_changes_trace;
         ] );
-      ( "config", [ quick "validate rejects bad mixes" test_validate_rejects_bad_configs ] );
-      ( "harness", [ quick "acceptance mix all green" test_chaos_harness_all_green ] );
+      ( "config",
+        [
+          quick "validate rejects bad mixes" test_validate_rejects_bad_configs;
+          quick "mix JSON records every field" test_mix_json_records_every_field;
+        ] );
+      ( "harness",
+        [
+          quick "acceptance mix all green" test_chaos_harness_all_green;
+          quick "checked run matches unchecked" test_checked_run_matches_unchecked;
+          quick "soak reports a dirty seed" test_soak_reports_dirty_seed;
+        ] );
     ]

@@ -51,11 +51,16 @@ let audit_events ?only events =
 
 (* -- Clean runs audit clean --------------------------------------------- *)
 
+(* [audited_run ~cfg ~seed attack] is the violations of one quarter-year
+   run with its own auditor attached. *)
+let audited_run ~cfg ~seed attack =
+  let auditor = Scenario.make_auditor ~cfg () in
+  ignore
+    (Scenario.run_one ~check:auditor ~cfg ~seed ~years:micro_scale.Scenario.years attack);
+  Auditor.violations auditor
+
 let test_baseline_run_clean () =
-  let _, violations =
-    Scenario.run_one_audited ~cfg:micro_cfg ~seed:3
-      ~years:micro_scale.Scenario.years Scenario.No_attack
-  in
+  let violations = audited_run ~cfg:micro_cfg ~seed:3 Scenario.No_attack in
   Alcotest.(check int) "no violations on a fault-free audited run" 0
     (List.length violations)
 
@@ -71,20 +76,14 @@ let test_attacked_run_clean () =
         rate = 24.;
       }
   in
-  let _, violations =
-    Scenario.run_one_audited ~cfg:micro_cfg ~seed:5
-      ~years:micro_scale.Scenario.years attack
-  in
+  let violations = audited_run ~cfg:micro_cfg ~seed:5 attack in
   Alcotest.(check int) "no violations under admission flood" 0 (List.length violations)
 
 let test_faulted_run_clean () =
   let cfg =
     { micro_cfg with Config.faults = Some (Chaos.faults_config Chaos.default_mix) }
   in
-  let _, violations =
-    Scenario.run_one_audited ~cfg ~seed:11 ~years:micro_scale.Scenario.years
-      Scenario.No_attack
-  in
+  let violations = audited_run ~cfg ~seed:11 Scenario.No_attack in
   Alcotest.(check int) "no violations under loss/jitter/dup/churn" 0
     (List.length violations)
 

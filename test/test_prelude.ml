@@ -1,8 +1,7 @@
-(* Unit and property tests for the prelude substrate: rng, heap, stats,
+(* Unit and property tests for the prelude substrate: rng, tsheap, stats,
    duration, table. *)
 
 module Rng = Repro_prelude.Rng
-module Heap = Repro_prelude.Heap
 module Stats = Repro_prelude.Stats
 module Duration = Repro_prelude.Duration
 module Table = Repro_prelude.Table
@@ -114,57 +113,6 @@ let prop_sample_is_subset =
       List.length s = min (max k 0) (List.length xs)
       && List.for_all (fun x -> List.mem x xs) s)
 
-(* -- Heap ------------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.add h 5;
-  Heap.add h 1;
-  Heap.add h 3;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.add h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains in sorted order" ~count:300
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      let drained = ref [] in
-      let rec drain () =
-        match Heap.pop h with
-        | None -> ()
-        | Some x ->
-          drained := x :: !drained;
-          drain ()
-      in
-      drain ();
-      List.rev !drained = List.sort compare xs)
-
-let prop_heap_to_sorted_list_preserves =
-  QCheck2.Test.make ~name:"to_sorted_list leaves heap intact" ~count:200
-    QCheck2.Gen.(list small_int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      let listed = Heap.to_sorted_list h in
-      listed = List.sort compare xs && Heap.length h = List.length xs)
-
 (* -- Tsheap ----------------------------------------------------------- *)
 
 module Tsheap = Repro_prelude.Tsheap
@@ -209,11 +157,11 @@ let test_tsheap_clear () =
   Tsheap.add h ~time:1. ~seq:0 9;
   Alcotest.(check (option int)) "usable after clear" (Some 9) (Tsheap.pop h)
 
-(* Model check against the generic comparator heap: identical pop order
-   on (time, seq) keys, including heavy time ties — the engine swapped
-   the former for the latter and this pins the equivalence. Times are
-   drawn from a small set so collisions are the common case, and seqs
-   are the injection index, unique as in the engine. *)
+(* Model check against the comparator the engine's former generic heap
+   ordered events by: identical pop order on (time, seq) keys, including
+   heavy time ties. Times are drawn from a small set so collisions are
+   the common case, and seqs are the injection index, unique as in the
+   engine. *)
 let tsheap_keys_gen =
   QCheck2.Gen.(list_size (int_bound 200) (int_bound 7))
 
@@ -222,23 +170,14 @@ let prop_tsheap_matches_model_heap =
     ~count:300 tsheap_keys_gen (fun raw_times ->
       let keyed = List.mapi (fun seq t -> (float_of_int t, seq)) raw_times in
       let model =
-        Heap.create
-          ~cmp:(fun (t1, s1) (t2, s2) ->
+        List.sort
+          (fun (t1, s1) (t2, s2) ->
             match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c)
+          keyed
       in
       let h = Tsheap.create ~dummy:(nan, -1) () in
-      List.iter
-        (fun (time, seq) ->
-          Heap.add model (time, seq);
-          Tsheap.add h ~time ~seq (time, seq))
-        keyed;
-      let rec drain acc =
-        match (Heap.pop model, Tsheap.pop h) with
-        | None, None -> acc
-        | Some m, Some f -> m = f && drain acc
-        | _ -> false
-      in
-      drain true && Tsheap.is_empty h)
+      List.iter (fun (time, seq) -> Tsheap.add h ~time ~seq (time, seq)) keyed;
+      List.for_all (fun m -> Tsheap.pop h = Some m) model && Tsheap.is_empty h)
 
 let prop_tsheap_interleaved_ops =
   (* Interleave adds and drops (the engine's actual access pattern, where
@@ -426,14 +365,6 @@ let () =
           quick "sample overshoot" test_rng_sample_overshoot;
           quick "shuffle permutation" test_rng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prop_sample_is_subset;
-        ] );
-      ( "heap",
-        [
-          quick "basic order" test_heap_basic;
-          quick "pop_exn empty" test_heap_pop_exn_empty;
-          quick "clear" test_heap_clear;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
-          QCheck_alcotest.to_alcotest prop_heap_to_sorted_list_preserves;
         ] );
       ( "tsheap",
         [

@@ -1,7 +1,7 @@
 (* Tests for Experiments.Runner: the work-stealing parallel map must be
    a drop-in replacement for serial iteration — same results, same
-   order, same bytes in every rendered table — and actually faster when
-   more than one core is available. *)
+   order, same bytes in every rendered table. That it is also faster
+   when more than one core is available is timed in test_wall_clock. *)
 
 module Duration = Repro_prelude.Duration
 open Experiments
@@ -128,7 +128,7 @@ let test_chaos_paired_run_byte_identical () =
 let test_run_all_and_spread_identical () =
   let cfg = Scenario.config micro in
   let scale = { micro with Scenario.runs = 3 } in
-  let all () = Scenario.run_all ~cfg scale Scenario.No_attack in
+  let all () = fst (Scenario.run_all ~cfg scale Scenario.No_attack) in
   let serial = with_jobs 1 all in
   let parallel = with_jobs 3 all in
   Alcotest.(check int) "same run count" (List.length serial) (List.length parallel);
@@ -240,46 +240,6 @@ let test_profiler_slots_stable () =
         true (d.Obs.Profiler.domain >= 0))
     stats
 
-(* -- Wall-clock: parallel beats serial when cores allow ---------------- *)
-
-let test_parallel_faster_on_multicore () =
-  if Domain.recommended_domain_count () < 2 then
-    (* One visible core (CI containers): the speedup claim is vacuous
-       here; determinism is covered above either way. *)
-    ()
-  else begin
-    (* Eight runs give each of the two workers several tasks, so one
-       scheduling hiccup on a shared host cannot erase the speedup; the
-       best of three timings per side, taken in alternating order,
-       filters the rest of the noise. *)
-    let work () =
-      ignore
-        (Runner.map
-           (fun seed ->
-             let cfg = Scenario.config micro in
-             Scenario.run_one ~cfg ~seed ~years:4. Scenario.No_attack)
-           (List.init 8 (fun i -> micro.Scenario.seed + i)))
-    in
-    let wall jobs =
-      let t0 = Unix.gettimeofday () in
-      with_jobs jobs work;
-      Unix.gettimeofday () -. t0
-    in
-    let serial = ref infinity and parallel = ref infinity in
-    for round = 1 to 3 do
-      let order = if round mod 2 = 1 then [ 1; 2 ] else [ 2; 1 ] in
-      List.iter
-        (fun jobs ->
-          let t = wall jobs in
-          if jobs = 1 then serial := Float.min !serial t
-          else parallel := Float.min !parallel t)
-        order
-    done;
-    Alcotest.(check bool)
-      (Printf.sprintf "parallel (%.2fs) < serial (%.2fs)" !parallel !serial)
-      true (!parallel < !serial)
-  end
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -307,5 +267,4 @@ let () =
           slow "chaos paired run byte-identical" test_chaos_paired_run_byte_identical;
           slow "run_all and run_spread identical" test_run_all_and_spread_identical;
         ] );
-      ("wall-clock", [ slow "parallel faster on multicore" test_parallel_faster_on_multicore ]);
     ]

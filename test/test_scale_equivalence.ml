@@ -17,7 +17,6 @@
 module Duration = Repro_prelude.Duration
 module Scenario = Experiments.Scenario
 module Chaos = Experiments.Chaos
-module Soak = Experiments.Soak
 module Runner = Experiments.Runner
 
 (* Under [dune runtest] the cwd is _build/default/test (the goldens are
@@ -136,9 +135,9 @@ let case_chaos () =
    histograms and auditor verdicts as JSON. *)
 let case_soak () =
   let report =
-    Soak.run ~scale:paper_short ~seeds:[ 1; 2 ] Chaos.default_mix
+    Chaos.soak ~scale:paper_short ~seeds:[ 1; 2 ] Chaos.default_mix
   in
-  Obs.Json.to_string (Soak.report_json report)
+  Obs.Json.to_string (Chaos.soak_json report)
 
 let cases =
   [
