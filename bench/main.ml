@@ -39,100 +39,16 @@ let timed f =
   Printf.printf "[%.1fs]\n" (Unix.gettimeofday () -. t0);
   result
 
-(* -- Figure/table regeneration ---------------------------------------- *)
+(* -- Figure, table and experiment regeneration ------------------------ *)
 
-let run_fig2 () =
-  section "Figure 2: baseline access-failure probability (no attack)";
-  note "Paper: failure grows with the inter-poll interval and damage rate;";
-  note "~4.8e-4 (50 AUs) / 5.2e-4 (600 AUs) at 3 months & 5 disk-years.";
-  note "Bench scale: %d peers, collections of %d and %d AUs, %g y, %d run(s)."
-    scale.Scenario.peers scale.Scenario.aus (3 * scale.Scenario.aus)
-    scale.Scenario.years scale.Scenario.runs;
-  timed (fun () -> Table.print (Baseline.to_table (Baseline.sweep ~scale ())))
+(* One shared set of sweeps at the bench scale: the figures that read the
+   same sweep run it once, and the first of them carries its time. *)
+let sweeps = Registry.sweeps scale
 
-let stoppage_points = lazy (timed (fun () -> Stoppage.sweep ~scale ()))
-
-let run_fig3 () =
-  section "Figure 3: access-failure probability under pipe stoppage";
-  note "Paper: grows with coverage and duration; even 100%% coverage for";
-  note "180 d stays ~2.9e-3 — within one order of magnitude of baseline.";
-  Table.print (Stoppage.fig3_table (Lazy.force stoppage_points))
-
-let run_fig4 () =
-  section "Figure 4: delay ratio under pipe stoppage";
-  note "Paper: attacks must last >= ~60 d to raise the delay ratio by 10x.";
-  Table.print (Stoppage.fig4_table (Lazy.force stoppage_points))
-
-let run_fig5 () =
-  section "Figure 5: coefficient of friction under pipe stoppage";
-  note "Paper: ~1 for short attacks, up to ~10 for long ones.";
-  Table.print (Stoppage.fig5_table (Lazy.force stoppage_points))
-
-let admission_points = lazy (timed (fun () -> Admission_attack.sweep ~scale ()))
-
-let run_fig6 () =
-  section "Figure 6: access-failure probability under admission flood";
-  note "Paper: barely moves; 5.9e-4 at full coverage sustained 2 years";
-  note "(baseline 5.2e-4).";
-  Table.print (Admission_attack.fig6_table (Lazy.force admission_points))
-
-let run_fig7 () =
-  section "Figure 7: delay ratio under admission flood";
-  note "Paper: stays ~1 at every coverage and duration.";
-  Table.print (Admission_attack.fig7_table (Lazy.force admission_points))
-
-let run_fig8 () =
-  section "Figure 8: coefficient of friction under admission flood";
-  note "Paper: rises with duration, up to ~1.33 at full coverage / 2 y.";
-  Table.print (Admission_attack.fig8_table (Lazy.force admission_points))
-
-let run_table1 () =
-  section "Table 1: brute-force effortful adversary, defection strategies";
-  note "Paper (50-AU / 600-AU rows):";
-  note "  INTRO      friction 1.40/1.31  cost 1.93/2.04  delay 1.11/1.10  af 4.99e-4/6.35e-4";
-  note "  REMAINING  friction 2.61/2.50  cost 1.55/1.60  delay 1.11/1.10  af 5.90e-4/6.16e-4";
-  note "  NONE       friction 2.60/2.49  cost 1.02/1.06  delay 1.11/1.10  af 5.58e-4/6.19e-4";
-  note "Shape: NONE (full participation) is the attacker's cheapest strategy;";
-  note "vote-extracting strategies inflict the most friction; preservation holds.";
-  timed (fun () -> Table.print (Effort_attack.to_table (Effort_attack.sweep ~scale ())))
-
-let run_ablate () =
-  section "Ablations: what each defense buys";
-  timed (fun () -> Table.print (Ablation.to_table (Ablation.run ~scale ())))
-
-let run_subversion () =
-  section "Retained defenses: content-subversion (stealth) adversary of [29]";
-  note "The redesign must keep the prior paper's resistance to silent content";
-  note "corruption: partial infiltration should raise alarms, not flip polls.";
-  timed (fun () ->
-      Table.print (Subversion_attack.to_table (Subversion_attack.sweep ~scale ())))
-
-let run_reciprocity () =
-  section "Extended-version experiment: the grade-recovery adversary (Sec. 7.4)";
-  note "The paper claims (without showing) that gaming even/credit grades is";
-  note "rate-limited below brute force; we run the omitted experiment.";
-  timed (fun () ->
-      let rows = Reciprocity_attack.sweep ~scale () in
-      Table.print (Reciprocity_attack.to_table rows);
-      Printf.printf "brute-force REMAINING friction at this scale (reference): %s\n"
-        (Report.ratio (Reciprocity_attack.brute_force_reference ~scale ())))
-
-let run_extensions () =
-  section "Section 9 extensions: future-work directions, implemented";
-  note "(a) adaptive acceptance vs the vote-extracting REMAINING adversary";
-  note "    (constrained capacity; expect friction down, attacker cost up):";
-  timed (fun () -> Table.print (Extensions.adaptive_table (Extensions.adaptive_acceptance ~scale ())));
-  note "(b) churn: newcomers joining mid-run must bootstrap reputation:";
-  timed (fun () ->
-      let c = Extensions.churn ~scale () in
-      Printf.printf
-        "    %d joiners; incumbents %.2f vs newcomers %.2f successful polls/peer-AU-year\n"
-        c.Extensions.joiners c.Extensions.incumbent_success_rate
-        c.Extensions.newcomer_success_rate);
-  note "(c) combined adversary strategies (stoppage + brute force at once):";
-  timed (fun () -> Table.print (Extensions.combined_table (Extensions.combined ~scale ())));
-  note "(d) collection diversity (peers hold subsets of the AU space):";
-  timed (fun () -> Table.print (Extensions.diversity_table (Extensions.diversity ~scale ())))
+let run_entry (entry : Registry.entry) () =
+  section entry.Registry.title;
+  List.iter print_endline entry.Registry.notes;
+  timed (fun () -> Registry.print (entry.Registry.report sweeps))
 
 let run_paper_baseline () =
   section "Paper-scale baseline (100 peers x 50 AUs, 2 simulated years, 1 run)";
@@ -965,27 +881,16 @@ let run_chaos_bench () =
 (* -- Driver ------------------------------------------------------------ *)
 
 let targets =
-  [
-    ("fig2", run_fig2);
-    ("fig3", run_fig3);
-    ("fig4", run_fig4);
-    ("fig5", run_fig5);
-    ("fig6", run_fig6);
-    ("fig7", run_fig7);
-    ("fig8", run_fig8);
-    ("table1", run_table1);
-    ("ablate", run_ablate);
-    ("subversion", run_subversion);
-    ("reciprocity", run_reciprocity);
-    ("extensions", run_extensions);
-    ("profile", run_profile);
-    ("parallel", run_parallel);
-    ("scale", run_scale);
-    ("obs", run_obs);
-    ("check", run_check);
-    ("chaos", run_chaos_bench);
-    ("micro", run_micro);
-  ]
+  List.map (fun (e : Registry.entry) -> (e.Registry.name, run_entry e)) Registry.all
+  @ [
+      ("profile", run_profile);
+      ("parallel", run_parallel);
+      ("scale", run_scale);
+      ("obs", run_obs);
+      ("check", run_check);
+      ("chaos", run_chaos_bench);
+      ("micro", run_micro);
+    ]
 
 (* Expensive optional targets, excluded from the default full run. *)
 let optional_targets = [ ("paper-baseline", run_paper_baseline) ]

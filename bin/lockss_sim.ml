@@ -3,7 +3,7 @@
 
      lockss_sim run           -- one scenario, fully parameterised
      lockss_sim reproduce     -- regenerate a paper figure/table
-     lockss_sim ablate        -- defense ablation table
+     lockss_sim ablate …      -- the paper's other experiments (Registry)
      lockss_sim chaos         -- fault injection + invariant checks
      lockss_sim pin-baseline  -- pin golden result baselines
      lockss_sim diff-baseline -- diff fresh results against the pins *)
@@ -11,25 +11,44 @@
 module Duration = Repro_prelude.Duration
 module Scenario = Experiments.Scenario
 module Chaos = Experiments.Chaos
+module Registry = Experiments.Registry
 open Cmdliner
 
 (* -- Shared options ---------------------------------------------------- *)
 
 let peers =
-  Arg.(value & opt int 25 & info [ "peers" ] ~docv:"N" ~doc:"Loyal peer population size.")
+  Arg.(
+    value
+    & opt int Scenario.default.peers
+    & info [ "peers" ] ~docv:"N" ~doc:"Loyal peer population size.")
 
 let aus =
-  Arg.(value & opt int 4 & info [ "aus" ] ~docv:"N" ~doc:"Archival units preserved per peer.")
+  Arg.(
+    value
+    & opt int Scenario.default.aus
+    & info [ "aus" ] ~docv:"N" ~doc:"Archival units preserved per peer.")
 
-let quorum = Arg.(value & opt int 5 & info [ "quorum" ] ~docv:"N" ~doc:"Poll quorum.")
+let quorum =
+  Arg.(
+    value & opt int Scenario.default.quorum & info [ "quorum" ] ~docv:"N" ~doc:"Poll quorum.")
 
 let years =
-  Arg.(value & opt float 2. & info [ "years" ] ~docv:"Y" ~doc:"Simulated horizon in years.")
+  Arg.(
+    value
+    & opt float Scenario.default.years
+    & info [ "years" ] ~docv:"Y" ~doc:"Simulated horizon in years.")
 
 let runs =
-  Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc:"Runs averaged per data point.")
+  Arg.(
+    value
+    & opt int Scenario.default.runs
+    & info [ "runs" ] ~docv:"N" ~doc:"Runs averaged per data point.")
 
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Root random seed.")
+let seed =
+  Arg.(
+    value
+    & opt int Scenario.default.seed
+    & info [ "seed" ] ~docv:"S" ~doc:"Root random seed.")
 
 (* Every command that fans out independent simulations honors --jobs;
    the setting is a performance knob only — results are byte-identical
@@ -337,20 +356,6 @@ let baseline_dir =
     & info [ "baseline-dir" ] ~docv:"DIR"
         ~doc:"Directory holding the pinned golden baselines (default $(b,baselines)).")
 
-let scale_of ~peers ~aus ~quorum ~years ~runs ~seed =
-  let quorum = max 2 quorum in
-  {
-    Scenario.peers;
-    aus;
-    quorum;
-    max_disagree = max 1 ((quorum - 1) / 3);
-    outer_circle = quorum;
-    reference_target = min (3 * quorum) (peers - 1);
-    years;
-    runs;
-    seed;
-  }
-
 let config_of scale ~capacity ~mttf ~interval_months =
   {
     (Scenario.config scale) with
@@ -448,7 +453,7 @@ let run_cmd =
       coverage duration_days mix observe check manifest_out =
     set_jobs jobs;
     let handle = Experiments.Manifest.start ~command:"run" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
     let cfg = config_of scale ~capacity ~mttf ~interval_months in
     let fault_cfg = Chaos.faults_config mix in
     let cfg =
@@ -509,7 +514,7 @@ let chaos_cmd =
   in
   let action peers aus quorum years seed jobs kind coverage duration_days mix ablation =
     set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs:1 ~seed in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs:1 ~seed in
     let attack = attack_of kind ~coverage ~duration_days in
     validate_mix mix;
     let report = Chaos.run ~scale ~attack mix in
@@ -555,7 +560,7 @@ let soak_cmd =
       Printf.eprintf "invalid --seeds: need at least one seed\n";
       exit 2
     end;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs:1 ~seed in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs:1 ~seed in
     let attack = attack_of kind ~coverage ~duration_days in
     validate_mix mix;
     let seeds = List.init seeds_count (fun i -> seed + i) in
@@ -588,44 +593,34 @@ let soak_cmd =
 
 (* -- reproduce command ------------------------------------------------- *)
 
-(* One sweep execution feeds the printed table, the optional plot files
-   and the optional baseline check: Golden.sweeps shares the lazies. *)
-let table_of_target sweeps target =
-  let module Golden = Experiments.Golden in
-  match target with
-  | "fig2" -> Some (Experiments.Baseline.to_table (Golden.baseline_points sweeps))
-  | "fig3" -> Some (Experiments.Stoppage.fig3_table (Golden.stoppage_points sweeps))
-  | "fig4" -> Some (Experiments.Stoppage.fig4_table (Golden.stoppage_points sweeps))
-  | "fig5" -> Some (Experiments.Stoppage.fig5_table (Golden.stoppage_points sweeps))
-  | "fig6" ->
-    Some (Experiments.Admission_attack.fig6_table (Golden.admission_points sweeps))
-  | "fig7" ->
-    Some (Experiments.Admission_attack.fig7_table (Golden.admission_points sweeps))
-  | "fig8" ->
-    Some (Experiments.Admission_attack.fig8_table (Golden.admission_points sweeps))
-  | "table1" -> Some (Experiments.Effort_attack.to_table (Golden.effort_rows sweeps))
-  | _ -> None
+let figure_names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.pinned
 
-(* Compare one freshly captured target against its pin. Returns the
-   report, or an error when the pin is unreadable/absent. *)
-let check_target ~dir ~scale sweeps target =
+let resolve_figure name =
+  match Registry.find Registry.pinned name with
+  | Ok entry -> entry
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
+
+(* Compare one freshly captured pinned entry against its pin. Returns
+   the report, or an error when the pin is unreadable/absent. *)
+let check_target ~dir sweeps target =
   let pin_path = Obs.Baseline.path ~dir target in
   match Obs.Baseline.load pin_path with
   | Error msg ->
     Error
       (Printf.sprintf "%s — pin it first with: lockss_sim pin-baseline %s" msg target)
   | Ok pinned ->
-    (match Experiments.Golden.capture sweeps ~scale target with
-    | Error msg -> Error msg
-    | Ok current -> Ok (Obs.Baseline.compare ~baseline:pinned ~current))
+    Result.map
+      (fun current -> Obs.Baseline.compare ~baseline:pinned ~current)
+      (Registry.capture sweeps target)
 
 let reproduce_cmd =
   let target =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"One of: fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1.")
+      & info [] ~docv:"TARGET" ~doc:("One of: " ^ String.concat " " figure_names ^ "."))
   in
   let csv =
     Arg.(
@@ -638,7 +633,9 @@ let reproduce_cmd =
       value
       & opt (some string) None
       & info [ "plot" ] ~docv:"DIR"
-          ~doc:"Also write gnuplot .dat/.gp files for the figure into $(docv).")
+          ~doc:
+            "Also write gnuplot .dat/.gp files into $(docv) for the figure and the \
+             figures that share its sweep.")
   in
   let check_baseline =
     Arg.(
@@ -653,33 +650,30 @@ let reproduce_cmd =
       check_baseline dir manifest_out =
     set_jobs jobs;
     let handle = Experiments.Manifest.start ~command:("reproduce " ^ target) () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let module Table = Repro_prelude.Table in
-    let module Golden = Experiments.Golden in
-    let sweeps = Golden.sweeps ~scale in
-    (match plot_dir with
-    | None -> ()
-    | Some dir ->
-      (match target with
-      | "fig2" -> Experiments.Plot.write_baseline ~dir (Golden.baseline_points sweeps)
-      | "fig3" | "fig4" | "fig5" ->
-        Experiments.Plot.write_stoppage ~dir (Golden.stoppage_points sweeps)
-      | "fig6" | "fig7" | "fig8" ->
-        Experiments.Plot.write_admission ~dir (Golden.admission_points sweeps)
-      | _ -> Printf.eprintf "--plot is only available for fig2..fig8\n"));
-    let table =
-      match table_of_target sweeps target with
-      | Some table -> table
-      | None ->
-        Printf.eprintf "unknown target %S\n" target;
-        exit 2
-    in
-    Table.print table;
-    (match csv_path with None -> () | Some path -> Table.save_csv table path);
+    let entry = resolve_figure target in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
+    (* One sweep execution feeds the printed table, the optional plot
+       files and the optional baseline check: the registry's sweeps are
+       shared lazies. *)
+    let sweeps = Registry.sweeps scale in
+    (match (plot_dir, entry.Registry.plot) with
+    | None, _ -> ()
+    | Some dir, Some write -> write ~dir sweeps
+    | Some _, None -> Printf.eprintf "--plot: %s has no figure to plot\n" target);
+    let report = entry.Registry.report sweeps in
+    Registry.print report;
+    Option.iter
+      (fun path ->
+        List.iter
+          (function
+            | Registry.Table table -> Repro_prelude.Table.save_csv table path
+            | Registry.Line _ -> ())
+          report)
+      csv_path;
     let drifted =
       if not check_baseline then false
       else
-        match check_target ~dir ~scale sweeps target with
+        match check_target ~dir sweeps target with
         | Error msg ->
           Printf.eprintf "%s\n" msg;
           true
@@ -713,20 +707,12 @@ let baseline_targets_arg =
     & pos_all string []
     & info [] ~docv:"TARGET"
         ~doc:
-          "Targets to pin/diff (fig2..fig8, table1); all of them when none is given.")
+          ("Targets to pin/diff (" ^ String.concat " " figure_names
+         ^ "); all of them when none is given."))
 
-let resolve_baseline_targets = function
-  | [] -> Experiments.Golden.targets
-  | targets ->
-    List.iter
-      (fun t ->
-        if not (List.mem t Experiments.Golden.targets) then begin
-          Printf.eprintf "unknown target %S (known: %s)\n" t
-            (String.concat " " Experiments.Golden.targets);
-          exit 2
-        end)
-      targets;
-    targets
+let baseline_targets = function
+  | [] -> figure_names
+  | targets -> List.map (fun t -> (resolve_figure t).Registry.name) targets
 
 let pin_baseline_cmd =
   let tolerance =
@@ -741,16 +727,14 @@ let pin_baseline_cmd =
   in
   let action targets peers aus quorum years runs seed jobs tolerance dir manifest_out =
     set_jobs jobs;
-    let targets = resolve_baseline_targets targets in
+    let targets = baseline_targets targets in
     let handle = Experiments.Manifest.start ~command:"pin-baseline" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let sweeps = Experiments.Golden.sweeps ~scale in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
+    let sweeps = Registry.sweeps scale in
     let provenance = Experiments.Manifest.provenance () in
     List.iter
       (fun target ->
-        match
-          Experiments.Golden.capture ~tolerance_pct:tolerance sweeps ~scale target
-        with
+        match Registry.capture ~tolerance_pct:tolerance sweeps target with
         | Error msg ->
           Printf.eprintf "%s\n" msg;
           exit 2
@@ -797,12 +781,12 @@ let diff_baseline_cmd =
   let action targets peers aus quorum years runs seed jobs json_flag report_out dir
       manifest_out =
     set_jobs jobs;
-    let targets = resolve_baseline_targets targets in
+    let targets = baseline_targets targets in
     let handle = Experiments.Manifest.start ~command:"diff-baseline" () in
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    let sweeps = Experiments.Golden.sweeps ~scale in
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
+    let sweeps = Registry.sweeps scale in
     let results =
-      List.map (fun target -> (target, check_target ~dir ~scale sweeps target)) targets
+      List.map (fun target -> (target, check_target ~dir sweeps target)) targets
     in
     let ok_overall =
       List.for_all
@@ -1153,76 +1137,19 @@ let audit_cmd =
           the traced run's configuration.")
     Term.(const action $ file $ audit_quorum $ refractory $ decay $ mutate $ json_flag)
 
-(* -- subversion command ------------------------------------------------ *)
+(* -- ablate, subversion, reciprocity and extensions commands ------------ *)
 
-let subversion_cmd =
+(* Every registry entry without a pin is its own subcommand, printing
+   its report at the requested scale. *)
+let experiment_cmd (entry : Registry.entry) =
   let action peers aus quorum years runs seed jobs =
     set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    Repro_prelude.Table.print
-      (Experiments.Subversion_attack.to_table (Experiments.Subversion_attack.sweep ~scale ()))
+    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
+    Registry.print (entry.Registry.report (Registry.sweeps scale))
   in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
   Cmd.v
-    (Cmd.info "subversion"
-       ~doc:
-         "Run the retained-defense experiment: the stealth content-corruption adversary \
-          of the prior protocol paper.")
-    term
-
-(* -- reciprocity command ------------------------------------------------- *)
-
-let reciprocity_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    Repro_prelude.Table.print
-      (Experiments.Reciprocity_attack.to_table (Experiments.Reciprocity_attack.sweep ~scale ()));
-    Printf.printf "brute-force REMAINING friction at this scale (reference): %s\n"
-      (Experiments.Report.ratio (Experiments.Reciprocity_attack.brute_force_reference ~scale ()))
-  in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
-  Cmd.v
-    (Cmd.info "reciprocity"
-       ~doc:"Run the grade-recovery adversary experiment the paper deferred to its \
-             extended version.")
-    term
-
-(* -- extensions command -------------------------------------------------- *)
-
-let extensions_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    Repro_prelude.Table.print
-      (Experiments.Extensions.adaptive_table (Experiments.Extensions.adaptive_acceptance ~scale ()));
-    let c = Experiments.Extensions.churn ~scale () in
-    Printf.printf
-      "churn: %d joiners; incumbents %.2f vs newcomers %.2f successful polls/peer-AU-year\n"
-      c.Experiments.Extensions.joiners c.Experiments.Extensions.incumbent_success_rate
-      c.Experiments.Extensions.newcomer_success_rate;
-    Repro_prelude.Table.print
-      (Experiments.Extensions.combined_table (Experiments.Extensions.combined ~scale ()))
-  in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
-  Cmd.v
-    (Cmd.info "extensions"
-       ~doc:"Run the Section 9 future-work experiments: adaptive acceptance, churn, \
-             combined adversaries.")
-    term
-
-(* -- ablate command ---------------------------------------------------- *)
-
-let ablate_cmd =
-  let action peers aus quorum years runs seed jobs =
-    set_jobs jobs;
-    let scale = scale_of ~peers ~aus ~quorum ~years ~runs ~seed in
-    Repro_prelude.Table.print (Experiments.Ablation.to_table (Experiments.Ablation.run ~scale ()))
-  in
-  let term = Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs) in
-  Cmd.v
-    (Cmd.info "ablate" ~doc:"Show what each attrition defense buys, one ablation per row.")
-    term
+    (Cmd.info entry.Registry.name ~doc:entry.Registry.title)
+    Term.(const action $ peers $ aus $ quorum $ years $ runs $ seed $ jobs)
 
 let () =
   let doc = "LOCKSS attrition-defense simulator (USENIX 2005 reproduction)" in
@@ -1230,19 +1157,16 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            run_cmd;
-            reproduce_cmd;
-            pin_baseline_cmd;
-            diff_baseline_cmd;
-            ablate_cmd;
-            chaos_cmd;
-            soak_cmd;
-            subversion_cmd;
-            reciprocity_cmd;
-            extensions_cmd;
-            check_trace_cmd;
-            trace_convert_cmd;
-            trace_report_cmd;
-            audit_cmd;
-          ]))
+          ([
+             run_cmd;
+             reproduce_cmd;
+             pin_baseline_cmd;
+             diff_baseline_cmd;
+             chaos_cmd;
+             soak_cmd;
+             check_trace_cmd;
+             trace_convert_cmd;
+             trace_report_cmd;
+             audit_cmd;
+           ]
+          @ List.map experiment_cmd Registry.unpinned)))

@@ -11,27 +11,18 @@
     barely move even at full coverage for the whole experiment; the
     coefficient of friction (Fig. 8) rises with duration, up to ≈ +33 %
     at full coverage and 2-year duration, because loyal pollers burn
-    introductory efforts that refractory victims summarily drop. *)
+    introductory efforts that refractory victims summarily drop.
 
-type point = {
-  coverage : float;
-  duration : float;
-  access_failure : float;
-  delay_ratio : float;
-  friction : float;
-}
+    The sweep is a {!Stoppage.grid}: its points, tables and metrics are
+    the pipe stoppage's. *)
 
-val default_durations : float list
-val default_coverages : float list
-
+(** [sweep ?scale ?durations ?coverages ?rate ()] floods at [rate]
+    garbage invitations per victim-AU per day (default 24), by default
+    for 10 days to 2 years at 10, 50 and 100 % coverage. *)
 val sweep :
   ?scale:Scenario.scale ->
   ?durations:float list ->
   ?coverages:float list ->
   ?rate:float ->
   unit ->
-  point list
-
-val fig6_table : point list -> Repro_prelude.Table.t
-val fig7_table : point list -> Repro_prelude.Table.t
-val fig8_table : point list -> Repro_prelude.Table.t
+  Stoppage.point list

@@ -147,10 +147,23 @@ type diversity_row = {
   mean_gap : float;
 }
 
-let diversity ?(scale = Scenario.bench) ?(coverages = [ 1.0; 0.75; 0.5 ]) () =
+let diversity ?(scale = Scenario.bench) ?coverages () =
+  let cfg coverage =
+    { (Scenario.config scale) with Lockss.Config.au_coverage = coverage }
+  in
+  (* A small population cannot give every AU more holders than an inner
+     circle at low coverage: the default sweep drops those levels. *)
+  let valid coverage =
+    match Lockss.Config.validate (cfg coverage) with
+    | () -> true
+    | exception Invalid_argument _ -> false
+  in
+  let coverages =
+    match coverages with Some cs -> cs | None -> List.filter valid [ 1.0; 0.75; 0.5 ]
+  in
   List.map
     (fun coverage ->
-      let cfg = { (Scenario.config scale) with Lockss.Config.au_coverage = coverage } in
+      let cfg = cfg coverage in
       let summary = Scenario.run_avg ~cfg scale Scenario.No_attack in
       {
         coverage;

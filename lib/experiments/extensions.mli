@@ -63,7 +63,10 @@ type diversity_row = {
 }
 
 (** [diversity ?scale ?coverages ()] sweeps the holder fraction; the
-    audit machinery must keep working as collections diverge. *)
+    audit machinery must keep working as collections diverge. The
+    default sweep is 100 %, 75 % and 50 %, less any level at which the
+    scale's configuration leaves an AU no more holders than an inner
+    circle ({!Lockss.Config.validate}). *)
 val diversity : ?scale:Scenario.scale -> ?coverages:float list -> unit -> diversity_row list
 
 val diversity_table : diversity_row list -> Repro_prelude.Table.t

@@ -9,6 +9,10 @@
     and because the minions must keep supplying honest votes to recover
     their grades, their net effect on defenders can even be favourable. *)
 
+(** One compromised fraction, averaged over the [scale.runs] seeds its
+    no-attack baseline averages: the ratios compare the two sides' mean
+    summaries ({!Scenario.mean_summaries}), and the counts are rounded
+    means over the same seeds. *)
 type row = {
   fraction : float;  (** compromised fraction of the population *)
   defections : int;  (** victim votes extracted and discarded *)

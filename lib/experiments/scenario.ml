@@ -38,6 +38,22 @@ let paper =
     seed = 1;
   }
 
+let sized ~peers ~aus ~quorum ~years ~runs ~seed =
+  let quorum = max 2 quorum in
+  {
+    peers;
+    aus;
+    quorum;
+    max_disagree = max 1 ((quorum - 1) / 3);
+    outer_circle = quorum;
+    reference_target = min (3 * quorum) (peers - 1);
+    years;
+    runs;
+    seed;
+  }
+
+let default = sized ~peers:25 ~aus:4 ~quorum:5 ~years:2. ~runs:1 ~seed:1
+
 let config ?(base = Lockss.Config.default) scale =
   {
     base with

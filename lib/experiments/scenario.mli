@@ -36,6 +36,17 @@ type scale = {
 val bench : scale
 val paper : scale
 
+(** [sized ~peers ~aus ~quorum ~years ~runs ~seed] is the scale a
+    [lockss_sim] command runs at: quorum at least 2, and the landslide
+    margin, outer circle and reference list derived from it. *)
+val sized :
+  peers:int -> aus:int -> quorum:int -> years:float -> runs:int -> seed:int -> scale
+
+(** The scale every [lockss_sim] command defaults to (25 peers, 4 AUs,
+    quorum 5, 2 years, 1 run, seed 1): the committed figure pins under
+    [baselines/] are made at it. *)
+val default : scale
+
 (** [config ?base scale] specialises a configuration (default
     {!Lockss.Config.default}) to the scale. *)
 val config : ?base:Lockss.Config.t -> scale -> Lockss.Config.t

@@ -13,10 +13,9 @@ let default_durations = List.map Duration.of_days [ 2.; 10.; 45.; 90.; 180. ]
 let default_coverages = [ 0.1; 0.3; 0.5; 1.0 ]
 let recuperation = Duration.of_days 30.
 
-let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
-    ?(coverages = default_coverages) () =
+let grid ~attack ~scale ~durations ~coverages =
   let cfg = Scenario.config scale in
-  let grid =
+  let cells =
     List.concat_map
       (fun coverage -> List.map (fun duration -> (coverage, duration)) durations)
       coverages
@@ -27,10 +26,7 @@ let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
     Runner.map
       (fun attack -> Scenario.run_avg ~cfg scale attack)
       (Scenario.No_attack
-      :: List.map
-           (fun (coverage, duration) ->
-             Scenario.Pipe_stoppage { coverage; duration; recuperation })
-           grid)
+      :: List.map (fun (coverage, duration) -> attack ~coverage ~duration) cells)
   in
   match summaries with
   | [] -> assert false
@@ -45,16 +41,57 @@ let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
           delay_ratio = c.Scenario.delay_ratio;
           friction = c.Scenario.friction;
         })
-      grid attacked
+      cells attacked
 
-let metric_table ~header value points =
-  let table = Table.create [ "coverage"; "attack duration"; header ] in
+let sweep ?(scale = Scenario.bench) ?(durations = default_durations)
+    ?(coverages = default_coverages) () =
+  grid ~scale ~durations ~coverages ~attack:(fun ~coverage ~duration ->
+      Scenario.Pipe_stoppage { coverage; duration; recuperation })
+
+type metric = {
+  key : string;
+  label : string;
+  header : string;
+  ylabel : string;
+  cell : float -> string;
+  value : point -> float;
+}
+
+let access_failure =
+  {
+    key = "access_failure";
+    label = "Access failure";
+    header = "access failure prob.";
+    ylabel = "access failure probability";
+    cell = Report.sci;
+    value = (fun p -> p.access_failure);
+  }
+
+let delay_ratio =
+  {
+    key = "delay_ratio";
+    label = "Delay ratio";
+    header = "delay ratio";
+    ylabel = "delay ratio";
+    cell = Report.ratio;
+    value = (fun p -> p.delay_ratio);
+  }
+
+let friction =
+  {
+    key = "friction";
+    label = "Coefficient of friction";
+    header = "coeff. of friction";
+    ylabel = "coefficient of friction";
+    cell = Report.ratio;
+    value = (fun p -> p.friction);
+  }
+
+let table metric points =
+  let table = Table.create [ "coverage"; "attack duration"; metric.header ] in
   List.iter
     (fun p ->
-      Table.add_row table [ Report.pct p.coverage; Report.days p.duration; value p ])
+      Table.add_row table
+        [ Report.pct p.coverage; Report.days p.duration; metric.cell (metric.value p) ])
     points;
   table
-
-let fig3_table = metric_table ~header:"access failure prob." (fun p -> Report.sci p.access_failure)
-let fig4_table = metric_table ~header:"delay ratio" (fun p -> Report.ratio p.delay_ratio)
-let fig5_table = metric_table ~header:"coeff. of friction" (fun p -> Report.ratio p.friction)

@@ -173,6 +173,42 @@ let test_reciprocity_less_effective_than_brute_force () =
       (r.Experiments.Reciprocity_attack.delay_ratio < 1.2)
   | _ -> Alcotest.fail "expected one row")
 
+let test_reciprocity_rows_average_the_baseline_seeds () =
+  (* At runs = 2 a row's ratios compare the two seeds' mean summaries on
+     both sides: the attacked side runs the seeds the baseline averages. *)
+  let scale =
+    {
+      Experiments.Scenario.peers = 12;
+      aus = 1;
+      quorum = 3;
+      max_disagree = 1;
+      outer_circle = 3;
+      reference_target = 9;
+      years = 0.5;
+      runs = 2;
+      seed = 3;
+    }
+  in
+  let cfg = Experiments.Scenario.config scale in
+  let attacked seed =
+    let population = Lockss.Population.create ~seed cfg in
+    ignore
+      (Adversary.Reciprocity.attach population ~fraction:0.2
+         ~attempts_per_victim_au_per_day:5.);
+    Lockss.Population.run population ~until:(Duration.of_years scale.Experiments.Scenario.years);
+    Lockss.Population.summary population
+  in
+  let expected =
+    Experiments.Scenario.ratios
+      ~baseline:(Experiments.Scenario.run_avg ~cfg scale Experiments.Scenario.No_attack)
+      ~attack:(Experiments.Scenario.mean_summaries [ attacked 3; attacked 4 ])
+  in
+  match Experiments.Reciprocity_attack.sweep ~scale ~fractions:[ 0.2 ] () with
+  | [ r ] ->
+    Alcotest.(check (float 0.)) "friction over the same seeds"
+      expected.Experiments.Scenario.friction r.Experiments.Reciprocity_attack.friction
+  | _ -> Alcotest.fail "expected one row"
+
 let test_reciprocity_grade_burned_on_defection () =
   (* After a defection the minion's standing at that victim drops at
      vote-supply time, so back-to-back extractions from one grade are
@@ -278,6 +314,8 @@ let () =
         [
           slow "less effective than brute force" test_reciprocity_less_effective_than_brute_force;
           slow "grade burned on defection" test_reciprocity_grade_burned_on_defection;
+          slow "rows average the baseline's seeds"
+            test_reciprocity_rows_average_the_baseline_seeds;
         ] );
       ( "brute force",
         [

@@ -1,7 +1,9 @@
 (* Tests for the result-baseline layer: Obs.Baseline comparison
-   semantics and JSON round-trips, and Experiments.Golden capture —
+   semantics and JSON round-trips, and Experiments.Registry capture —
    including the drift-injection check: a copied pin with one perturbed
-   metric must fail the diff with an actionable per-metric delta. *)
+   metric must fail the diff with an actionable per-metric delta — and
+   the ties between the registry, the committed pins and the reports it
+   renders. *)
 
 module B = Obs.Baseline
 module Json = Obs.Json
@@ -192,12 +194,13 @@ let test_save_load () =
 
 (* -- Golden capture ------------------------------------------------------ *)
 
-let sweeps = Golden.sweeps ~scale:micro
+let sweeps = Registry.sweeps micro
+let pinned_names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.pinned
 
 let test_capture_targets () =
   List.iter
     (fun target ->
-      match Golden.capture sweeps ~scale:micro target with
+      match Registry.capture sweeps target with
       | Error msg -> Alcotest.fail msg
       | Ok t ->
         Alcotest.(check string) "experiment named after target" target
@@ -215,18 +218,16 @@ let test_capture_targets () =
                String.length m.B.name > 6
                && String.sub m.B.name (String.length m.B.name - 6) 6 = ".worst")
              t.B.metrics))
-    Golden.targets;
-  match Golden.capture sweeps ~scale:micro "fig99" with
+    pinned_names;
+  match Registry.capture sweeps "fig99" with
   | Ok _ -> Alcotest.fail "unknown target accepted"
   | Error _ -> ()
 
 let test_capture_deterministic () =
   (* Two independent sweeps at the same scale capture identical
      documents — the property the whole pinning scheme rests on. *)
-  let s1 = Golden.sweeps ~scale:micro in
-  let s2 = Golden.sweeps ~scale:micro in
-  let c1 = Golden.capture s1 ~scale:micro "fig3" in
-  let c2 = Golden.capture s2 ~scale:micro "fig3" in
+  let c1 = Registry.capture (Registry.sweeps micro) "fig3" in
+  let c2 = Registry.capture (Registry.sweeps micro) "fig3" in
   match (c1, c2) with
   | Ok a, Ok b ->
     Alcotest.(check bool) "re-captured sweep diffs clean" true
@@ -238,7 +239,7 @@ let test_capture_deterministic () =
    diff must fail with that metric's name, values and verdict. *)
 let test_drift_injection_on_copied_baseline () =
   let pinned =
-    match Golden.capture sweeps ~scale:micro "table1" with
+    match Registry.capture sweeps "table1" with
     | Ok t -> t
     | Error msg -> Alcotest.fail msg
   in
@@ -305,23 +306,72 @@ let test_drift_injection_on_copied_baseline () =
   Unix.rmdir dir
 
 let test_config_fingerprint_gates () =
-  (* The same results captured under a different scale must fail on the
-     fingerprint, not silently compare metric-by-metric. *)
-  let other = { micro with Scenario.seed = 6 } in
-  let a =
-    match Golden.capture sweeps ~scale:micro "fig2" with
+  (* Sweeps run at another seed must fail on the fingerprint, not
+     silently compare metric-by-metric. *)
+  let capture sweeps =
+    match Registry.capture sweeps "fig2" with
     | Ok t -> t
     | Error msg -> Alcotest.fail msg
   in
-  let b =
-    match Golden.capture sweeps ~scale:other "fig2" with
-    | Ok t -> t
-    | Error msg -> Alcotest.fail msg
-  in
+  let a = capture sweeps in
+  let b = capture (Registry.sweeps { micro with Scenario.seed = 6 }) in
   let report = B.compare ~baseline:a ~current:b in
   Alcotest.(check bool) "scale change fails" false (B.ok report);
   Alcotest.(check bool) "the failure is a config mismatch" true
     (report.B.config_mismatch <> [])
+
+(* -- The registry and its artifacts --------------------------------------- *)
+
+(* Under [dune runtest] the cwd is _build/default/test (the pins are
+   declared as test deps); under [dune exec] from the workspace root it
+   is the root itself. *)
+let pin_dir = lazy (List.find Sys.file_exists [ "../baselines"; "baselines" ])
+
+let test_pins_match_registry () =
+  let dir = Lazy.force pin_dir in
+  let suffix = ".baseline.json" in
+  let pinned_files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.map (fun f -> Filename.chop_suffix f suffix)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "one committed pin per pinned entry, and no other"
+    (List.sort compare pinned_names) pinned_files;
+  let default = Json.Assoc (Registry.config_fingerprint Scenario.default) in
+  List.iter
+    (fun name ->
+      match B.load (B.path ~dir name) with
+      | Error msg -> Alcotest.fail msg
+      | Ok pin ->
+        Alcotest.(check string) (name ^ " names its entry") name pin.B.experiment;
+        Alcotest.(check string)
+          (name ^ " is pinned at the CLI default scale")
+          (Json.to_string default)
+          (Json.to_string (Json.Assoc pin.B.config)))
+    pinned_names
+
+let test_every_entry_renders () =
+  let small = { micro with Scenario.years = 0.5 } in
+  let sweeps = Registry.sweeps small in
+  List.iter
+    (fun (entry : Registry.entry) ->
+      let report = entry.Registry.report sweeps in
+      Alcotest.(check bool) (entry.Registry.name ^ " reports") true (report <> []);
+      List.iter
+        (function
+          | Registry.Table t ->
+            Alcotest.(check bool)
+              (entry.Registry.name ^ " table has rows")
+              true
+              (List.length
+                 (List.filter (( <> ) "")
+                    (String.split_on_char '\n' (Repro_prelude.Table.render t)))
+              > 2)
+          | Registry.Line l ->
+            Alcotest.(check bool) (entry.Registry.name ^ " line") true (l <> ""))
+        report)
+    Registry.all
 
 let () =
   Alcotest.run "baseline"
@@ -356,5 +406,12 @@ let () =
             test_drift_injection_on_copied_baseline;
           Alcotest.test_case "config fingerprint gates" `Quick
             test_config_fingerprint_gates;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "committed pins match the registry" `Quick
+            test_pins_match_registry;
+          Alcotest.test_case "every entry renders at micro scale" `Quick
+            test_every_entry_renders;
         ] );
     ]

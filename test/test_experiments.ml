@@ -167,8 +167,8 @@ let test_fig6_shape_flood_is_weak () =
   | [ p ] ->
     (* The paper's core claim: the application-level flood barely moves
        preservation while raising friction modestly. *)
-    Alcotest.(check bool) "delay ratio close to 1" true (p.Admission_attack.delay_ratio < 1.3);
-    Alcotest.(check bool) "friction bounded" true (p.Admission_attack.friction < 2.0)
+    Alcotest.(check bool) "delay ratio close to 1" true (p.Stoppage.delay_ratio < 1.3);
+    Alcotest.(check bool) "friction bounded" true (p.Stoppage.friction < 2.0)
   | _ -> Alcotest.fail "expected one point"
 
 let test_table1_shape () =
@@ -236,7 +236,9 @@ let test_tables_render () =
     (fun table ->
       Alcotest.(check bool) "renders" true
         (String.length (Repro_prelude.Table.render table) > 0))
-    [ Stoppage.fig3_table points; Stoppage.fig4_table points; Stoppage.fig5_table points ]
+    (List.map
+       (fun metric -> Stoppage.table metric points)
+       [ Stoppage.access_failure; Stoppage.delay_ratio; Stoppage.friction ])
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

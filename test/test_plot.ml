@@ -48,30 +48,23 @@ let with_temp_dir f =
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* One sweep per attack family, shared across that family's cases. *)
-let stoppage = lazy (Stoppage.sweep ~scale:micro ())
-let admission = lazy (Admission_attack.sweep ~scale:micro ())
-let baseline = lazy (Baseline.sweep ~scale:micro ())
+(* One set of shared sweeps; each plotted entry writes its .dat and .gp. *)
+let sweeps = lazy (Registry.sweeps micro)
 
-let render_family write files () =
-  with_temp_dir (fun dir ->
-      write ~dir;
-      List.map (fun name -> (name, read (Filename.concat dir name))) files)
-
-let families =
-  [
-    ( render_family
-        (fun ~dir -> Plot.write_stoppage ~dir (Lazy.force stoppage))
-        [ "fig3.dat"; "fig3.gp"; "fig4.dat"; "fig4.gp"; "fig5.dat"; "fig5.gp" ] );
-    ( render_family
-        (fun ~dir -> Plot.write_admission ~dir (Lazy.force admission))
-        [ "fig6.dat"; "fig6.gp"; "fig7.dat"; "fig7.gp"; "fig8.dat"; "fig8.gp" ] );
-    ( render_family
-        (fun ~dir -> Plot.write_baseline ~dir (Lazy.force baseline))
-        [ "fig2.dat"; "fig2.gp" ] );
-  ]
-
-let cases () = List.concat_map (fun family -> family ()) families
+let cases () =
+  List.concat_map
+    (fun (entry : Registry.entry) ->
+      match entry.Registry.plot with
+      | None -> []
+      | Some write ->
+        with_temp_dir (fun dir ->
+            write ~dir (Lazy.force sweeps);
+            List.map
+              (fun ext ->
+                let name = entry.Registry.name ^ ext in
+                (name, read (Filename.concat dir name)))
+              [ ".dat"; ".gp" ]))
+    Registry.all
 
 let digest s = Digest.to_hex (Digest.string s)
 

@@ -100,12 +100,9 @@ let render_stoppage_tables () =
       ~coverages:[ 0.3; 1.0 ] ()
   in
   String.concat "\n"
-    (List.map Repro_prelude.Table.render
-       [
-         Stoppage.fig3_table points;
-         Stoppage.fig4_table points;
-         Stoppage.fig5_table points;
-       ])
+    (List.map
+       (fun metric -> Repro_prelude.Table.render (Stoppage.table metric points))
+       [ Stoppage.access_failure; Stoppage.delay_ratio; Stoppage.friction ])
 
 let test_stoppage_sweep_byte_identical () =
   let serial = with_jobs 1 render_stoppage_tables in
