@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-perf bench-perf-test bench-parallel bench-obs bench-check bench-chaos bench-scale bench-scale-full diff-bench diff-bench-only pin-bench-parallel pin-baseline diff-baseline profile clean
+.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-perf bench-perf-test pin-baseline diff-baseline clean
 
 all: build
 
@@ -105,6 +105,8 @@ audit-smoke: build
 	  { echo "audit-smoke: mutated trace did not raise exactly one violation" >&2; exit 1; }
 	@echo "audit-smoke: OK"
 
+# Every paper experiment at the bench scale, with the paper's reference
+# values and each section's wall time (the numbers in EXPERIMENTS.md).
 bench:
 	dune exec bench/main.exe
 
@@ -122,77 +124,6 @@ bench-perf:
 # oracle, metric names and units checked against BENCHMARK.json.
 bench-perf-test:
 	python3 perfbench/test_bench.py
-
-# Serial vs parallel wall-clock for the heavier sweeps, recorded as JSON.
-# CI arms the multicore criteria through BENCH_PARALLEL_FLAGS:
-# `--require-parallel` (nonzero exit when <2 effective workers) and
-# `--min-speedup 0.75` (each target must reach 0.75 x its usable
-# parallelism, min of jobs and the sweep width).
-BENCH_PARALLEL_FLAGS ?=
-bench-parallel: build
-	dune exec bench/main.exe -- parallel --json BENCH_parallel.json \
-	  $(BENCH_PARALLEL_FLAGS)
-
-# Observability overhead: tracing disabled vs live span+ledger builders
-# vs full file sinks, recorded as JSON.
-bench-obs: build
-	dune exec bench/main.exe -- obs --json BENCH_obs.json
-
-# Invariant-auditor overhead: the same micro simulation with the online
-# auditor detached vs attached, recorded as JSON.
-bench-check: build
-	dune exec bench/main.exe -- check --json BENCH_check.json
-
-# Byzantine-fault overhead: the same micro simulation fault-free vs
-# under the full default chaos mix, recorded as JSON.
-bench-chaos: build
-	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
-
-# Population scale sweep, CI shape: 100 -> 1k peers only, skipping the
-# ~29s 10k-peer setup. The full sweep lives in bench-scale-full.
-bench-scale: build
-	dune exec bench/main.exe -- scale --points 100,1000 --json BENCH_scale.json
-
-# Full population scale sweep: 100 -> 1k -> 10k peers; per-event cost
-# and resident memory per point, recorded (and gated) separately from
-# the reduced CI sweep.
-bench-scale-full: build
-	dune exec bench/main.exe -- scale --json BENCH_scale_full.json
-	dune exec bench/main.exe -- diff-bench --threshold 75 \
-	  $(BENCH_SCALE_FULL_PAIR)
-
-# The baseline/current artifact pairs the regression gate diffs — the
-# single source of truth for both `make diff-bench` here and the CI
-# gate steps (`make diff-bench-only`).
-BENCH_PAIRS = \
-  BENCH_parallel.baseline.json BENCH_parallel.json \
-  BENCH_obs.baseline.json BENCH_obs.json \
-  BENCH_check.baseline.json BENCH_check.json \
-  BENCH_chaos.baseline.json BENCH_chaos.json
-BENCH_SCALE_PAIR = BENCH_scale.baseline.json BENCH_scale.json
-BENCH_SCALE_FULL_PAIR = BENCH_scale_full.baseline.json BENCH_scale_full.json
-
-# Bench regression gate: re-run the benchmarks and diff the fresh JSON
-# against the pinned baselines; exits non-zero on any >25% regression in
-# a tracked (overhead/speedup/slowdown) metric. The scale pair gates at
-# a looser 75%: its slowdown ratios fold in cache-hierarchy effects that
-# vary across machines, while a genuine per-event cost-curve regression
-# (O(peers) work per event) overshoots any plausible threshold.
-diff-bench: bench-parallel bench-obs bench-check bench-chaos bench-scale diff-bench-only
-
-# The gate alone, against artifacts produced earlier (CI runs the bench
-# targets as separate steps so their logs stay attributable).
-diff-bench-only:
-	dune exec bench/main.exe -- diff-bench $(BENCH_PAIRS)
-	dune exec bench/main.exe -- diff-bench --threshold 75 $(BENCH_SCALE_PAIR)
-
-# Re-pin the parallel-speedup baseline from a fresh run. Meant for a
-# multicore host (CI's repin-bench workflow): a pin taken on a 1-core
-# machine is degenerate and disarms the speedup gate.
-pin-bench-parallel:
-	$(MAKE) bench-parallel BENCH_PARALLEL_FLAGS="--require-parallel $(BENCH_PARALLEL_FLAGS)"
-	cp BENCH_parallel.json BENCH_parallel.baseline.json
-	@echo "pinned BENCH_parallel.baseline.json — commit it to arm the speedup gate"
 
 # -- Paper-figure result baselines --------------------------------------
 
@@ -225,9 +156,6 @@ baseline-smoke: build
 	grep -q 'DRIFT' /tmp/baseline-smoke/drift.txt || \
 	  { echo "baseline-smoke: perturbed pin did not report drift" >&2; exit 1; }
 	@echo "baseline-smoke: OK"
-
-profile:
-	dune exec bench/main.exe -- profile
 
 clean:
 	dune clean

@@ -30,21 +30,18 @@
     may call {!Scenario.run_all} (which itself maps over seeds) without
     queueing pool batches recursively. *)
 
-(** [default_jobs ()] is the [LOCKSS_JOBS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count
-    ()]. *)
-val default_jobs : unit -> int
-
 (** [set_jobs n] overrides the process-wide worker count: [n >= 1] forces
     exactly [n] workers ([1] = serial), [0] restores the
-    {!default_jobs} heuristic. Raises [Invalid_argument] on negative
+    default heuristic (see {!val-jobs}). Raises [Invalid_argument] on negative
     [n]. This is a performance knob only — it never changes results.
     Already-spawned pool helpers beyond the new count stay parked, not
     killed; they simply never join a batch that needs fewer. *)
 val set_jobs : int -> unit
 
 (** [jobs ()] is the worker count {!map} will use: the {!set_jobs}
-    override when non-zero, else {!default_jobs}. *)
+    override when non-zero, else the [LOCKSS_JOBS] environment variable
+    when set to a positive integer, otherwise
+    [Domain.recommended_domain_count ()]. *)
 val jobs : unit -> int
 
 (** [set_profiler (Some p)] attaches a run-wide profiler: each parallel

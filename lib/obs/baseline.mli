@@ -1,7 +1,7 @@
 (** Pinned golden result baselines: the experiment-observability layer.
 
-    {!Bench_gate} watches the cost of running the simulator; this module
-    watches its {e results}. A baseline is a per-experiment JSON document
+    This module watches the simulator's {e results}; perfbench/ measures
+    what running it costs. A baseline is a per-experiment JSON document
     capturing the configuration fingerprint the sweep ran under and
     every result metric — the paper's headline measures (access-failure
     probability, delay ratio, coefficient of friction, cost ratio) plus

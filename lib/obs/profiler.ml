@@ -176,32 +176,3 @@ let snapshot_json t =
       ("gc", match t.last_gc with None -> Json.Null | Some g -> gc_to_json g);
       ("registry", Json.Assoc (Registry.snapshot t.registry));
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Format.fprintf ppf "phases:@,";
-  List.iter
-    (fun (name, cell) -> Format.fprintf ppf "  %-12s %8.3fs@," name !cell)
-    (phases t);
-  (match domain_stats t with
-  | [] -> ()
-  | stats ->
-    Format.fprintf ppf "domains:@,";
-    List.iter
-      (fun d ->
-        Format.fprintf ppf
-          "  domain %d: busy %8.3fs (cpu %8.3fs) over %d tasks, %.3gM minor \
-           words, %d minor / %d major collections@,"
-          d.domain d.busy_s d.cpu_s d.tasks
-          (d.minor_words /. 1e6)
-          d.minor_collections d.major_collections)
-      stats);
-  (match t.last_gc with
-  | None -> ()
-  | Some g ->
-    Format.fprintf ppf
-      "gc: %.3gM words allocated, %d minor / %d major collections, heap %.3gM words@,"
-      (allocated_words g /. 1e6)
-      g.minor_collections g.major_collections
-      (float_of_int g.heap_words /. 1e6));
-  Format.fprintf ppf "@]"

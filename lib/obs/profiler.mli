@@ -98,5 +98,3 @@ val domain_stats : t -> domain_stat list
 (** Phases in first-entered order, domains, last GC sample and the full
     registry snapshot, as one JSON object. *)
 val snapshot_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit

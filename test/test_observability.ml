@@ -495,6 +495,134 @@ let test_engine_stats () =
   Alcotest.(check int) "pending" 0 stats.Engine.pending;
   Alcotest.(check int) "heap high-water" 5 stats.Engine.max_heap_depth
 
+(* -- Cost counts ----------------------------------------------------------- *)
+
+(* What a seeded run costs, in quantities that do not depend on the host:
+   the executed event count is exact, and [Gc.minor_words] over the run
+   phase repeats to the word. The points are 2 AUs, quorum 5, no attack,
+   seed 11, at 100 peers x 1 year and 1,000 peers x 0.5 years. Each
+   words/event bound sits a few percent above the measured value (97.32
+   and 87.08 today) and may only be lowered. Timing is perfbench's job
+   (BENCHMARK.json). *)
+let cost_point ~peers ~years =
+  {
+    Experiments.Scenario.peers;
+    aus = 2;
+    quorum = 5;
+    max_disagree = 1;
+    outer_circle = 3;
+    reference_target = min 15 (peers - 1);
+    years;
+    runs = 1;
+    seed = 11;
+  }
+
+(* Executed events and run-phase minor words per executed event. *)
+let run_cost (sc : Experiments.Scenario.scale) =
+  let cfg = Experiments.Scenario.config sc in
+  let population = Experiments.Scenario.build ~cfg ~seed:sc.seed No_attack in
+  let w0 = Gc.minor_words () in
+  Population.run population ~until:(Duration.of_years sc.years);
+  let words = Gc.minor_words () -. w0 in
+  let executed = (Engine.stats (Population.engine population)).Engine.executed in
+  (executed, words /. float_of_int executed)
+
+let check_cost ~peers ~years ~executed ~max_words_per_event () =
+  let got, words_per_event = run_cost (cost_point ~peers ~years) in
+  Alcotest.(check int) (Printf.sprintf "%d peers: executed events" peers) executed got;
+  if words_per_event > max_words_per_event then
+    Alcotest.failf "%d peers: %.2f minor words/event, bound %.2f" peers words_per_event
+      max_words_per_event
+
+(* The 1-year micro run of the sink checks: 15 peers x 2 AUs, seed 7. *)
+let micro_year =
+  {
+    Experiments.Scenario.peers = 15;
+    aus = 2;
+    quorum = 4;
+    max_disagree = 1;
+    outer_circle = 3;
+    reference_target = 8;
+    years = 1.;
+    runs = 1;
+    seed = 7;
+  }
+
+(* A Warn-level trace sink raises the bus's interest floor, so nearly
+   every emission skips its thunk: the observed run may cost only the
+   fixed price of opening the sink (151 words today), never words per
+   event, and must execute the same events. This catches an emission
+   site whose thunk runs although no subscriber wants its severity (a
+   missing or too-high [~bound]), which the bus-level thunk test cannot
+   see.
+   The sink is wired as [Scenario.run_one] wires [trace_out]. *)
+let test_warn_sink_costs_no_words_per_event () =
+  let cfg = Experiments.Scenario.config micro_year in
+  let path = Filename.temp_file "warn_sink" ".jsonl" in
+  let run ~observed =
+    let population = Experiments.Scenario.build ~cfg ~seed:micro_year.seed No_attack in
+    let w0 = Gc.minor_words () in
+    let close =
+      if observed then begin
+        let sink = Obs.Sink.open_file path in
+        Trace.subscribe ~interest:Trace.Warn (Population.trace population)
+          (Trace.buffered_jsonl_sink ~min_severity:Trace.Warn sink);
+        fun () -> Obs.Sink.close sink
+      end
+      else ignore
+    in
+    Population.run population ~until:(Duration.of_years micro_year.years);
+    close ();
+    let words = Gc.minor_words () -. w0 in
+    ((Engine.stats (Population.engine population)).Engine.executed, words)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let executed, words = run ~observed:false in
+      let executed', words' = run ~observed:true in
+      Alcotest.(check int) "same executed events" executed executed';
+      if words' -. words > 1000. then
+        Alcotest.failf "warn-level sink allocated %.0f extra minor words (bound 1000)"
+          (words' -. words))
+
+(* A Debug file sink drains to the OS when its buffer fills, never per
+   event: a write syscall per record once made file sinks ~9x the
+   untraced run. After each event the test reads the sink's pending
+   bytes; only a flush leaves none, so the empty readings count the
+   flushes, and they may not outnumber the buffers the run filled. The
+   JSONL and binary writers are checked alike, on the 1-year micro run. *)
+let test_debug_sinks_flush_by_size () =
+  let buffer_bytes = 65_536 in
+  let cfg = Experiments.Scenario.config micro_year in
+  let check (name, writer_of) =
+    let path = Filename.temp_file "debug_sink" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let population =
+          Experiments.Scenario.build ~cfg ~seed:micro_year.seed No_attack
+        in
+        let sink = Obs.Sink.open_file ~buffer_bytes path in
+        let write = writer_of sink in
+        let events = ref 0 and flushes = ref 0 in
+        Trace.subscribe (Population.trace population) (fun ~time event ->
+            write ~time event;
+            incr events;
+            if Obs.Sink.pending sink = 0 then incr flushes);
+        Population.run population ~until:(Duration.of_years micro_year.years);
+        let buffers = Obs.Sink.written sink / buffer_bytes in
+        Obs.Sink.close sink;
+        if !flushes > buffers + 1 then
+          Alcotest.failf "%s sink: %d flushes over %d events, %d buffers filled" name
+            !flushes !events buffers)
+  in
+  List.iter check
+    [
+      ("jsonl", fun sink -> Trace.buffered_jsonl_sink sink);
+      ("binary", fun sink -> Trace.binary_sink (Obs.Btrace.writer sink));
+    ]
+
 (* -- Metrics hardening --------------------------------------------------- *)
 
 let test_repair_underflow_clamps () =
@@ -955,6 +1083,7 @@ let test_ledger_reconciles_under_attack () =
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
+  let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "observability"
     [
       ( "json",
@@ -998,6 +1127,16 @@ let () =
         ] );
       ( "engine",
         [ quick "profiling stats" test_engine_stats ] );
+      ( "cost",
+        [
+          quick "100 peers: events and words/event"
+            (check_cost ~peers:100 ~years:1. ~executed:172_331 ~max_words_per_event:100.);
+          slow "1k peers: events and words/event"
+            (check_cost ~peers:1_000 ~years:0.5 ~executed:878_220 ~max_words_per_event:90.);
+          quick "warn-level sink costs no words per event"
+            test_warn_sink_costs_no_words_per_event;
+          quick "debug sinks flush by size" test_debug_sinks_flush_by_size;
+        ] );
       ( "metrics",
         [ quick "repair underflow clamps" test_repair_underflow_clamps ] );
       ( "duration",

@@ -1,7 +1,9 @@
 (* Tests for Experiments.Runner: the work-stealing parallel map must be
    a drop-in replacement for serial iteration — same results, same
-   order, same bytes in every rendered table. That it is also faster
-   when more than one core is available is timed in test_wall_clock. *)
+   order, same bytes in every rendered table — and it must really run
+   tasks on more than one domain at once. How much faster that makes a
+   sweep is a timing claim, measured by perfbench's sweep-pool
+   workload rather than asserted here. *)
 
 module Duration = Repro_prelude.Duration
 open Experiments
@@ -208,6 +210,25 @@ let test_nested_map_through_warm_pool () =
     nested;
   ignore (Runner.map ~jobs:2 succ (List.init 5 Fun.id))
 
+(* Two tasks that each wait, up to a generous deadline, for both to have
+   started. They meet only if two domains run them at the same time: a
+   pool that serialises its tasks — on any core count — leaves the first
+   one waiting out the deadline alone. No timing is asserted; the
+   deadline only bounds how long a broken pool hangs the suite. *)
+let test_two_domains_run_at_once () =
+  let started = Atomic.make 0 in
+  let meet _ =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get started >= 2
+  in
+  Alcotest.(check (list bool))
+    "both tasks saw the other start" [ true; true ]
+    (Runner.map ~jobs:2 meet [ 0; 1 ])
+
 let test_profiler_slots_stable () =
   (* Slots are persistent pool positions: slot 0 is the caller, helpers
      keep their id across batches, and [both] accounts through the same
@@ -256,6 +277,7 @@ let () =
           quick "chunked claiming deterministic" test_chunked_claiming_determinism;
           quick "nested map through warm pool" test_nested_map_through_warm_pool;
           quick "profiler slots stable" test_profiler_slots_stable;
+          quick "two domains run at once" test_two_domains_run_at_once;
           slow "pool reuse byte-identical" test_pool_reuse_byte_identical;
         ] );
       ( "determinism",

@@ -1,7 +1,6 @@
 (* Tests for the low-overhead trace pipeline: buffered sinks, the
    binary trace encoding, format detection, the typed view fast path,
-   emit short-circuiting, the run profiler and the bench regression
-   gate. *)
+   emit short-circuiting and the run profiler. *)
 
 module Json = Obs.Json
 module Sink = Obs.Sink
@@ -637,238 +636,6 @@ let test_profiler_gc_delta () =
   Alcotest.(check bool) "allocation observed" true
     (Obs.Profiler.allocated_words delta > 0.)
 
-(* -- Bench gate ---------------------------------------------------------- *)
-
-let obs_doc overhead_full =
-  Json.Assoc
-    [
-      ("repeats", Json.Int 5);
-      ( "variants",
-        Json.List
-          [
-            Json.Assoc
-              [
-                ("variant", Json.String "tracing disabled");
-                ("mean_s", Json.Float 0.1);
-                ("overhead", Json.Float 1.0);
-              ];
-            Json.Assoc
-              [
-                ("variant", Json.String "full file sinks");
-                ("mean_s", Json.Float (0.1 *. overhead_full));
-                ("overhead", Json.Float overhead_full);
-              ];
-          ] );
-    ]
-
-let test_gate_flatten_keys_by_variant () =
-  let paths = List.map fst (Obs.Bench_gate.flatten (obs_doc 2.0)) in
-  Alcotest.(check bool) "variant-keyed path" true
-    (List.mem "variants.full file sinks.overhead" paths)
-
-let test_gate_passes_within_threshold () =
-  let report =
-    Obs.Bench_gate.compare_json ~baseline:(obs_doc 2.0) ~current:(obs_doc 2.3) ()
-  in
-  Alcotest.(check bool) "15% growth under the 25% threshold" true
-    (Obs.Bench_gate.ok report)
-
-let test_gate_fails_on_regression () =
-  let report =
-    Obs.Bench_gate.compare_json ~baseline:(obs_doc 2.0) ~current:(obs_doc 2.8) ()
-  in
-  Alcotest.(check bool) "40% growth regresses" false (Obs.Bench_gate.ok report);
-  match Obs.Bench_gate.regressions report with
-  | [ d ] ->
-    Alcotest.(check string) "the overhead leaf" "variants.full file sinks.overhead"
-      d.Obs.Bench_gate.path
-  | ds -> Alcotest.failf "expected 1 regression, got %d" (List.length ds)
-
-let test_gate_speedup_lower_is_worse () =
-  let doc speedup =
-    Json.Assoc
-      [
-        ( "targets",
-          Json.List
-            [
-              Json.Assoc
-                [
-                  ("target", Json.String "stoppage sweep");
-                  ("serial_s", Json.Float 10.);
-                  ("speedup", Json.Float speedup);
-                ];
-            ] );
-      ]
-  in
-  Alcotest.(check bool) "speedup gain passes" true
-    (Obs.Bench_gate.ok (Obs.Bench_gate.compare_json ~baseline:(doc 2.) ~current:(doc 3.) ()));
-  Alcotest.(check bool) "speedup collapse regresses" false
-    (Obs.Bench_gate.ok (Obs.Bench_gate.compare_json ~baseline:(doc 2.) ~current:(doc 1.) ()))
-
-let test_gate_missing_tracked_fails () =
-  let report =
-    Obs.Bench_gate.compare_json ~baseline:(obs_doc 2.0)
-      ~current:(Json.Assoc [ ("repeats", Json.Int 5) ])
-      ()
-  in
-  Alcotest.(check bool) "missing tracked metric fails" false (Obs.Bench_gate.ok report);
-  Alcotest.(check bool) "reported as missing" true
-    (List.mem "variants.full file sinks.overhead" report.Obs.Bench_gate.missing_tracked)
-
-let test_gate_absolutes_informational () =
-  (* Wall-clock absolutes may drift arbitrarily without failing. *)
-  let base = obs_doc 2.0 in
-  let current =
-    Json.Assoc
-      [
-        ("repeats", Json.Int 5);
-        ( "variants",
-          Json.List
-            [
-              Json.Assoc
-                [
-                  ("variant", Json.String "tracing disabled");
-                  ("mean_s", Json.Float 0.9);
-                  ("overhead", Json.Float 1.0);
-                ];
-              Json.Assoc
-                [
-                  ("variant", Json.String "full file sinks");
-                  ("mean_s", Json.Float 1.9);
-                  ("overhead", Json.Float 2.1);
-                ];
-            ] );
-      ]
-  in
-  Alcotest.(check bool) "9x slower wall-clock still passes" true
-    (Obs.Bench_gate.ok (Obs.Bench_gate.compare_json ~baseline:base ~current ()))
-
-let test_gate_neutral_slackens_lucky_baseline () =
-  (* A chaos run can legitimately land below 1.0 overhead (faults drop
-     messages). Drifting back to the neutral must not fail; moving past
-     the neutral by the threshold must. *)
-  let doc overhead = Json.Assoc [ ("overhead", Json.Float overhead) ] in
-  Alcotest.(check bool) "0.69 -> 1.0 passes (return to neutral)" true
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 0.69) ~current:(doc 1.0) ()));
-  Alcotest.(check bool) "0.69 -> 1.2 passes (within threshold of neutral)" true
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 0.69) ~current:(doc 1.2) ()));
-  Alcotest.(check bool) "0.69 -> 1.3 regresses (past neutral + threshold)" false
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 0.69) ~current:(doc 1.3) ()));
-  (* A baseline already above neutral keeps gating against itself. *)
-  Alcotest.(check bool) "2.0 -> 2.8 still regresses" false
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 2.0) ~current:(doc 2.8) ()))
-
-let test_gate_slowdown_tracked () =
-  let doc v = Json.Assoc [ ("slowdown", Json.Float v) ] in
-  Alcotest.(check bool) "slowdown growth past neutral regresses" false
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 1.1) ~current:(doc 1.6) ()));
-  Alcotest.(check bool) "slowdown shrink passes" true
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 1.1) ~current:(doc 0.8) ()))
-
-let test_gate_words_per_event_tracked () =
-  (* Allocation per event is deterministic, so it gates with no neutral:
-     growth past the threshold fails, shrinking never does. *)
-  let doc v = Json.Assoc [ ("words_per_event", Json.Float v) ] in
-  Alcotest.(check bool) "within threshold passes" true
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 400.) ~current:(doc 450.) ()));
-  Alcotest.(check bool) "allocation bloat regresses" false
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 400.) ~current:(doc 600.) ()));
-  Alcotest.(check bool) "allocation reduction passes" true
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json ~baseline:(doc 400.) ~current:(doc 150.) ()))
-
-let parallel_doc ~degenerate ~speedup =
-  Json.Assoc
-    ([ ("requested_jobs", Json.Int 4); ("effective_jobs", Json.Int 1) ]
-    @ (if degenerate then [ ("degenerate", Json.Bool true) ] else [])
-    @ [
-        ( "targets",
-          Json.List
-            [
-              Json.Assoc
-                [
-                  ("target", Json.String "stoppage sweep");
-                  ("speedup", Json.Float speedup);
-                ];
-            ] );
-      ])
-
-let test_gate_degenerate_skips_tracked () =
-  (* Current artifact degenerate while the baseline pin was live: the
-     gate stopped measuring what it gates. That used to pass all-green;
-     it is now a distinct failure with its own report bucket... *)
-  let report =
-    Obs.Bench_gate.compare_json
-      ~baseline:(parallel_doc ~degenerate:false ~speedup:2.0)
-      ~current:(parallel_doc ~degenerate:true ~speedup:1.0)
-      ()
-  in
-  Alcotest.(check bool) "live pin gone degenerate fails the gate" false
-    (Obs.Bench_gate.ok report);
-  Alcotest.(check (list string))
-    "degenerate_current names the path"
-    [ "targets.stoppage sweep.speedup" ]
-    report.Obs.Bench_gate.degenerate_current;
-  Alcotest.(check bool) "not conflated with baseline-degenerate skips" true
-    (report.Obs.Bench_gate.skipped = []);
-  Alcotest.(check bool) "not conflated with value regressions" true
-    (Obs.Bench_gate.regressions report = []);
-  (* ... and the opt-out demotes it to a warning for intentional
-     environment changes. *)
-  let allowed =
-    Obs.Bench_gate.compare_json ~allow_degenerate_current:true
-      ~baseline:(parallel_doc ~degenerate:false ~speedup:2.0)
-      ~current:(parallel_doc ~degenerate:true ~speedup:1.0)
-      ()
-  in
-  Alcotest.(check bool) "--allow-degenerate passes" true
-    (Obs.Bench_gate.ok allowed);
-  Alcotest.(check (list string))
-    "still surfaced when allowed"
-    [ "targets.stoppage sweep.speedup" ]
-    allowed.Obs.Bench_gate.degenerate_current;
-  (* The degenerate subtree is enumerated (document root here, the
-     [degenerate:true] member sits at top level) and named on the
-     verdict line — a gate that measured nothing must say so. *)
-  Alcotest.(check (list string))
-    "degenerate subtree enumerated" [ "" ]
-    report.Obs.Bench_gate.degenerate_subtrees;
-  let rendered = Format.asprintf "%a" Obs.Bench_gate.pp_report report in
-  Alcotest.(check bool) "verdict line names the skipped subtree" true
-    (let needle = "1 degenerate subtree skipped: (root)" in
-     let nlen = String.length needle in
-     let rec has i =
-       i + nlen <= String.length rendered
-       && (String.sub rendered i nlen = needle || has (i + 1))
-     in
-     has 0);
-  (* Degenerate baseline also skips, including the missing-tracked check. *)
-  let report =
-    Obs.Bench_gate.compare_json
-      ~baseline:(parallel_doc ~degenerate:true ~speedup:1.0)
-      ~current:(Json.Assoc [ ("requested_jobs", Json.Int 4) ])
-      ()
-  in
-  Alcotest.(check bool) "degenerate baseline never demands the metric" true
-    (Obs.Bench_gate.ok report);
-  Alcotest.(check bool) "absent metric reported as skipped, not missing" true
-    (List.mem "targets.stoppage sweep.speedup" report.Obs.Bench_gate.skipped);
-  (* Neither side degenerate: the same collapse fails as before. *)
-  Alcotest.(check bool) "non-degenerate collapse still regresses" false
-    (Obs.Bench_gate.ok
-       (Obs.Bench_gate.compare_json
-          ~baseline:(parallel_doc ~degenerate:false ~speedup:2.0)
-          ~current:(parallel_doc ~degenerate:false ~speedup:1.0)
-          ()))
-
 (* -- Suite --------------------------------------------------------------- *)
 
 let () =
@@ -918,20 +685,5 @@ let () =
           tc "phase accounting" `Quick test_profiler_phases;
           tc "domains and snapshot" `Quick test_profiler_domains_and_snapshot;
           tc "gc delta" `Quick test_profiler_gc_delta;
-        ] );
-      ( "bench gate",
-        [
-          tc "flatten keys lists by variant" `Quick test_gate_flatten_keys_by_variant;
-          tc "within threshold passes" `Quick test_gate_passes_within_threshold;
-          tc "regression fails" `Quick test_gate_fails_on_regression;
-          tc "speedup is lower-is-worse" `Quick test_gate_speedup_lower_is_worse;
-          tc "missing tracked metric fails" `Quick test_gate_missing_tracked_fails;
-          tc "absolutes are informational" `Quick test_gate_absolutes_informational;
-          tc "neutral slackens lucky baselines" `Quick
-            test_gate_neutral_slackens_lucky_baseline;
-          tc "slowdown is tracked" `Quick test_gate_slowdown_tracked;
-          tc "words_per_event is tracked" `Quick test_gate_words_per_event_tracked;
-          tc "degenerate prefixes skip the gate" `Quick
-            test_gate_degenerate_skips_tracked;
         ] );
     ]
