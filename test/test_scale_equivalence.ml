@@ -139,6 +139,53 @@ let case_soak () =
   in
   Obs.Json.to_string (Chaos.soak_json report)
 
+(* The analyzers on an attacked run, byte for byte: the live span and
+   ledger files the observed run wrote, the offline report of the Debug
+   trace that same run wrote, and the auditor's report of that trace.
+   Brute force yields orphan anomalies (adversary pollers never announce
+   their polls) and adversary effort, so every report section has data. *)
+let case_analyze () =
+  let cfg = Scenario.config paper_short in
+  let attack =
+    Scenario.Brute_force
+      { strategy = Adversary.Brute_force.Remaining; rate = 5.; identities = 50 }
+  in
+  with_temp_file (fun trace ->
+      let spans = trace ^ ".spans" and ledger = trace ^ ".ledger" in
+      let observe =
+        {
+          Scenario.default_observe with
+          Scenario.trace_out = Some trace;
+          trace_level = Lockss.Trace.Debug;
+          spans_out = Some spans;
+          ledger_out = Some ledger;
+        }
+      in
+      ignore (Scenario.run_one ~observe ~cfg ~seed:1 ~years:0.05 attack);
+      let seeded path = Scenario.seeded_path path ~seed:1 in
+      let read path =
+        let path = seeded path in
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        s
+      in
+      let analyzer = Obs.Analyze.create () in
+      let auditor = Scenario.make_auditor ~cfg () in
+      ignore
+        (Lockss.Trace.iter_file (seeded trace) ~f:(fun ~line record ->
+             Obs.Analyze.feed_record analyzer ~line
+               (Result.map (fun (time, e) -> Lockss.Trace.to_view ~time e) record);
+             Check.Auditor.feed_record auditor ~line record));
+      Check.Auditor.finish auditor;
+      let live = read spans ^ read ledger in
+      ignore (read trace);
+      String.concat "\n---\n"
+        [
+          live;
+          Obs.Json.to_string (Obs.Analyze.report_json analyzer);
+          Obs.Json.to_string (Check.Auditor.report_json auditor);
+        ])
+
 let cases =
   [
     ("run-trace", case_run_trace);
@@ -149,6 +196,7 @@ let cases =
     ("chaos", case_chaos);
     ("soak", case_soak);
     ("run-trace-binary", case_run_trace_binary);
+    ("analyze", case_analyze);
   ]
 
 (* -- Golden plumbing ----------------------------------------------------- *)
