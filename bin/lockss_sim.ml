@@ -995,30 +995,26 @@ let trace_report_cmd =
           ~doc:"Emit the report as one JSON object instead of human-readable text.")
   in
   let action path as_json =
-    let analyzer = Obs.Analyze.create () in
-    (try
-       ignore
-         (Lockss.Trace.iter_file path ~f:(fun ~line record ->
-              Obs.Analyze.feed_record analyzer ~line
-                (Result.map (fun (time, event) -> Lockss.Trace.to_view ~time event) record)))
+    let analyzer = Check.Analyze.create () in
+    (try ignore (Lockss.Trace.iter_file path ~f:(Check.Analyze.feed_record analyzer))
      with Sys_error msg ->
        Printf.eprintf "cannot open %s: %s\n" path msg;
        exit 2);
-    if as_json then print_endline (Obs.Json.to_string (Obs.Analyze.report_json analyzer))
-    else Format.printf "%a@." Obs.Analyze.pp_report analyzer;
+    if as_json then print_endline (Obs.Json.to_string (Check.Analyze.report_json analyzer))
+    else Format.printf "%a@." Check.Analyze.pp_report analyzer;
     (* Corrupt records get a file:record diagnostic on stderr so the
        offending input is locatable even when the report went to a pipe. *)
     List.iter
       (fun anomaly ->
         match anomaly with
-        | Obs.Span.Malformed_line { line; error } ->
+        | Check.Span.Malformed_line { line; error } ->
           Printf.eprintf "%s:%d: corrupt trace record: %s\n" path line error
         | _ -> ())
-      (Obs.Analyze.anomalies analyzer);
-    if Obs.Analyze.anomaly_count analyzer > 0 then begin
+      (Check.Analyze.anomalies analyzer);
+    if Check.Analyze.anomaly_count analyzer > 0 then begin
       Printf.eprintf
         "%s: %d anomalies — re-record the trace or inspect the records above\n" path
-        (Obs.Analyze.anomaly_count analyzer);
+        (Check.Analyze.anomaly_count analyzer);
       exit 1
     end
   in

@@ -2,14 +2,15 @@
    watched three ways at once --
 
      1. a warn-level pretty sink narrating troubled polls to stdout,
-     2. an Obs.Registry fed from the trace (event counts by kind, plus a
-        histogram of votes gathered per evaluation),
+     2. a tally fed from the trace (event counts by kind, plus the
+        distribution of votes gathered per evaluation),
      3. a Sampler emitting a weekly CSV time series of the metrics,
 
    which is the same machinery `lockss_sim run --trace-out/--metrics-out`
    and every Experiments.Scenario run uses. *)
 
 module Duration = Repro_prelude.Duration
+module Stats = Repro_prelude.Stats
 module Population = Lockss.Population
 module Trace = Lockss.Trace
 
@@ -39,14 +40,15 @@ let () =
   print_endline "-- troubled polls (warn-level pretty sink) --";
   Trace.subscribe trace (Trace.pretty_sink ~min_severity:Trace.Warn Format.std_formatter);
 
-  (* 2. Registry fed from the trace. *)
-  let registry = Obs.Registry.create () in
-  let votes_per_eval = Obs.Registry.histogram registry "votes_per_evaluation" in
+  (* 2. Event counts by kind and votes per evaluation, fed from the trace. *)
+  let kinds = Hashtbl.create 32 in
+  let votes_per_eval = ref [] in
   Trace.subscribe trace (fun ~time:_ event ->
-      Obs.Registry.Counter.incr (Obs.Registry.counter registry ("events." ^ Trace.kind event));
+      let kind = Trace.kind event in
+      Hashtbl.replace kinds kind (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind));
       match event with
       | Trace.Evaluation_started { votes; _ } ->
-        Obs.Registry.Histogram.observe votes_per_eval (float_of_int votes)
+        votes_per_eval := float_of_int votes :: !votes_per_eval
       | _ -> ());
 
   (* 3. Four-weekly metric samples as CSV on stdout. *)
@@ -68,10 +70,16 @@ let () =
   Lockss.Sampler.stop sampler;
   Obs.Series.close series;
 
-  print_endline "\n-- registry snapshot --";
+  print_endline "\n-- events by kind --";
   List.iter
-    (fun (name, value) -> Printf.printf "%-28s %s\n" name (Obs.Json.to_string value))
-    (Obs.Registry.snapshot registry);
+    (fun (kind, n) -> Printf.printf "%-28s %d\n" kind n)
+    (List.sort compare (List.of_seq (Hashtbl.to_seq kinds)));
+  (match !votes_per_eval with
+  | [] -> print_endline "no evaluations"
+  | votes ->
+    Printf.printf "votes per evaluation: %d evaluations, mean %.2f, p50 %.0f, p90 %.0f\n"
+      (List.length votes) (Stats.mean votes) (Stats.percentile 50. votes)
+      (Stats.percentile 90. votes));
 
   print_endline "\n-- end-of-run summary --";
   Format.printf "%a@." Lockss.Metrics.pp_summary (Population.summary population)

@@ -1,5 +1,7 @@
 module Duration = Repro_prelude.Duration
 module Stats = Repro_prelude.Stats
+module Json = Obs.Json
+module Metrics = Lockss.Metrics
 
 type t = {
   span_builder : Span.t;
@@ -14,14 +16,14 @@ let create () =
 let span_builder t = t.span_builder
 let ledger t = t.ledger
 
-let feed_view t view =
-  Span.feed_view t.span_builder view;
-  Ledger.feed_view t.ledger view
+let feed t ~time event =
+  Span.feed t.span_builder ~time event;
+  Ledger.feed t.ledger ~time event
 
 let feed_record t ~line record =
   t.lines <- t.lines + 1;
   match record with
-  | Ok view -> feed_view t view
+  | Ok (time, event) -> feed t ~time event
   | Error error ->
     t.malformed <- t.malformed + 1;
     Span.note_malformed t.span_builder ~line ~error
@@ -115,9 +117,9 @@ let poll_counts t =
   let closed = Span.closed_spans t.span_builder in
   let still_open = List.length (Span.open_spans t.span_builder) in
   let count p = List.length (List.filter p closed) in
-  let success = count (fun (s : Span.span) -> s.Span.outcome = Some Span.Success) in
-  let inquorate = count (fun (s : Span.span) -> s.Span.outcome = Some Span.Inquorate) in
-  let alarmed = count (fun (s : Span.span) -> s.Span.outcome = Some Span.Alarmed) in
+  let success = count (fun (s : Span.span) -> s.Span.outcome = Some Metrics.Success) in
+  let inquorate = count (fun (s : Span.span) -> s.Span.outcome = Some Metrics.Inquorate) in
+  let alarmed = count (fun (s : Span.span) -> s.Span.outcome = Some Metrics.Alarmed) in
   let abandoned =
     count (fun (s : Span.span) -> s.Span.outcome = None && s.Span.concluded_at = None)
   in

@@ -1,13 +1,12 @@
 (** Offline (and live) trace analysis: poll spans, per-peer effort
     ledger, per-phase latency distributions and anomaly detection, from
-    a stream of trace events seen through their analyzer view
-    ({!View.t}).
+    a stream of typed trace events ({!Lockss.Trace.event}).
 
     Feed events one of two ways:
-    - {!feed_view} — how the live builders attach: bridge the trace bus
-      through [Lockss.Trace.to_view] into [feed_view];
+    - {!feed} — how the live builders attach: it is a trace sink, so
+      subscribe it to the trace bus;
     - {!feed_record} with each record of a trace file, as
-      [Lockss.Trace.iter_file] decodes it: a view, or the decode error
+      [Lockss.Trace.iter_file] decodes it: an event, or the decode error
       (which becomes an anomaly, never an exception).
 
     The report distinguishes {e anomalies} (shapes a healthy fault-free
@@ -21,16 +20,16 @@ val create : unit -> t
 val span_builder : t -> Span.t
 val ledger : t -> Ledger.t
 
-(** [feed_view t v] routes one trace event to the span builder and the
+(** [feed t ~time e] routes one trace event to the span builder and the
     ledger. *)
-val feed_view : t -> View.t -> unit
+val feed : t -> time:float -> Lockss.Trace.event -> unit
 
 (** [feed_record t ~line r] consumes record number [line] of a trace
-    file: [Ok v] is fed, [Error msg] (a record that does not parse or
+    file: [Ok (time, e)] is fed, [Error msg] (a record that does not parse or
     does not decode into an event) is recorded as a
     {!Span.Malformed_line} anomaly. Either way it counts towards
     {!lines}. *)
-val feed_record : t -> line:int -> (View.t, string) result -> unit
+val feed_record : t -> line:int -> (float * Lockss.Trace.event, string) result -> unit
 
 (** Records delivered through {!feed_record}: lines (JSONL) or records
     (binary) of a trace file; 0 when fed live. *)
@@ -62,5 +61,5 @@ val duration_histogram : t -> (string * int) list
 
 (** {2 Reports} *)
 
-val report_json : t -> Json.t
+val report_json : t -> Obs.Json.t
 val pp_report : Format.formatter -> t -> unit

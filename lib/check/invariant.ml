@@ -69,7 +69,7 @@ let pp_violation ppf v =
   (match v.au with Some a -> Format.fprintf ppf " au %d" a | None -> ());
   Format.fprintf ppf ": %s" v.detail
 
-type context = { ledger : Obs.Ledger.t; metrics : Metrics.summary option }
+type context = { ledger : Ledger.t; metrics : Metrics.summary option }
 
 type instance = {
   on_event : time:float -> Trace.event -> unit;
@@ -407,10 +407,7 @@ let quorum =
                     detail =
                       Printf.sprintf
                         "poll concluded %s with %d inner votes (quorum %d)"
-                        (match outcome with
-                        | Metrics.Success -> "success"
-                        | Metrics.Alarmed -> "alarmed"
-                        | Metrics.Inquorate -> "inquorate")
+                        (Trace.poll_outcome_to_string outcome)
                         inner_votes params.quorum;
                   }
             | _ -> ());
@@ -440,16 +437,8 @@ let conservation =
           match ctx.metrics with
           | None -> ()
           | Some s ->
-            let r =
-              Obs.Ledger.reconcile ctx.ledger ~loyal_effort:s.Metrics.loyal_effort
-                ~adversary_effort:s.Metrics.adversary_effort
-                ~polls_succeeded:s.Metrics.polls_succeeded
-                ~polls_inquorate:s.Metrics.polls_inquorate
-                ~polls_alarmed:s.Metrics.polls_alarmed
-                ~votes_supplied:s.Metrics.votes_supplied
-                ~invitations_considered:s.Metrics.invitations_considered
-            in
-            if not r.Obs.Ledger.ok then
+            let r = Ledger.reconcile ctx.ledger s in
+            if not r.Ledger.ok then
               emit
                 {
                   invariant = "conservation";
@@ -458,7 +447,7 @@ let conservation =
                   peer = None;
                   au = None;
                   poll_id = None;
-                  detail = Format.asprintf "%a" Obs.Ledger.pp_reconciliation r;
+                  detail = Format.asprintf "%a" Ledger.pp_reconciliation r;
                 }
         in
         { on_event = (fun ~time:_ _ -> ()); at_end });

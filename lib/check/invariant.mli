@@ -62,7 +62,7 @@ val pp_violation : Format.formatter -> violation -> unit
 
 (** End-of-stream context for invariants that check aggregate
     conservation rather than per-event properties. *)
-type context = { ledger : Obs.Ledger.t; metrics : Lockss.Metrics.summary option }
+type context = { ledger : Ledger.t; metrics : Lockss.Metrics.summary option }
 
 (** A live instance of one invariant: feed it every event in stream
     order, then give it one [at_end] call. *)

@@ -1,31 +1,16 @@
 module Duration = Repro_prelude.Duration
+module Json = Obs.Json
+module Metrics = Lockss.Metrics
+module Trace = Lockss.Trace
 
-type phase = Admission | Solicitation | Voting | Evaluation | Repair
+let phase_count = List.length Trace.all_effort_phases
 
-let all_phases = [ Admission; Solicitation; Voting; Evaluation; Repair ]
-let phase_count = List.length all_phases
-
-let phase_index = function
+let phase_index : Trace.effort_phase -> int = function
   | Admission -> 0
   | Solicitation -> 1
   | Voting -> 2
   | Evaluation -> 3
   | Repair -> 4
-
-let phase_to_string = function
-  | Admission -> "admission"
-  | Solicitation -> "solicitation"
-  | Voting -> "voting"
-  | Evaluation -> "evaluation"
-  | Repair -> "repair"
-
-let phase_of_string = function
-  | "admission" -> Some Admission
-  | "solicitation" -> Some Solicitation
-  | "voting" -> Some Voting
-  | "evaluation" -> Some Evaluation
-  | "repair" -> Some Repair
-  | _ -> None
 
 type entry = {
   peer : int;
@@ -78,76 +63,44 @@ let entry t peer =
     Hashtbl.replace t.peers peer e;
     e
 
-let feed_view t (v : View.t) =
-  match v.View.kind with
-  | "effort_charged" -> (
-    match
-      (v.View.peer, Option.bind v.View.phase phase_of_string, v.View.role, v.View.seconds)
-    with
-    | Some peer, Some phase, Some role, Some seconds ->
-      let e = entry t peer in
-      let bucket =
-        if String.equal role "adversary" then e.spent_adversary else e.spent_loyal
-      in
-      let i = phase_index phase in
-      bucket.(i) <- bucket.(i) +. seconds
-    | _ -> ())
-  | "effort_received" -> (
-    match (v.View.peer, Option.bind v.View.phase phase_of_string, v.View.seconds) with
-    | Some peer, Some phase, Some seconds ->
-      let e = entry t peer in
-      let i = phase_index phase in
-      e.received.(i) <- e.received.(i) +. seconds
-    | _ -> ())
-  | "poll_started" -> (
-    match v.View.poller with
-    | Some poller -> let e = entry t poller in
-      e.polls_started <- e.polls_started + 1
-    | None -> ())
-  | "poll_concluded" -> (
-    match (v.View.poller, v.View.outcome) with
-    | Some poller, Some outcome ->
-      let e = entry t poller in
-      (match outcome with
-      | "success" -> e.polls_succeeded <- e.polls_succeeded + 1
-      | "inquorate" -> e.polls_inquorate <- e.polls_inquorate + 1
-      | "alarmed" -> e.polls_alarmed <- e.polls_alarmed + 1
-      | _ -> ())
-    | _ -> ())
-  | "vote_sent" -> (
-    match v.View.voter with
-    | Some voter -> let e = entry t voter in
-      e.votes_sent <- e.votes_sent + 1
-    | None -> ())
-  | "invitation_admitted" -> (
-    match v.View.voter with
-    | Some voter ->
-      let e = entry t voter in
-      e.invitations_admitted <- e.invitations_admitted + 1
-    | None -> ())
-  | "invitation_accepted" -> (
-    match v.View.voter with
-    | Some voter ->
-      let e = entry t voter in
-      e.invitations_accepted <- e.invitations_accepted + 1
-    | None -> ())
-  | "invitation_refused" -> (
-    match v.View.voter with
-    | Some voter ->
-      let e = entry t voter in
-      e.invitations_refused <- e.invitations_refused + 1
-    | None -> ())
-  | "invitation_dropped" -> (
-    match v.View.voter with
-    | Some voter ->
-      let e = entry t voter in
-      e.invitations_dropped <- e.invitations_dropped + 1
-    | None -> ())
-  | "repair_applied" -> (
-    match v.View.poller with
-    | Some poller -> let e = entry t poller in
-      e.repairs <- e.repairs + 1
-    | None -> ())
+let feed t ~time:_ (event : Trace.event) =
+  match event with
+  | Effort_charged { peer; role; phase; seconds; _ } ->
+    let e = entry t peer in
+    let bucket = match role with Adversary -> e.spent_adversary | Loyal -> e.spent_loyal in
+    let i = phase_index phase in
+    bucket.(i) <- bucket.(i) +. seconds
+  | Effort_received { peer; phase; seconds; _ } ->
+    let e = entry t peer in
+    let i = phase_index phase in
+    e.received.(i) <- e.received.(i) +. seconds
+  | Poll_started { poller; _ } ->
+    let e = entry t poller in
+    e.polls_started <- e.polls_started + 1
+  | Poll_concluded { poller; outcome; _ } -> (
+    let e = entry t poller in
+    match outcome with
+    | Success -> e.polls_succeeded <- e.polls_succeeded + 1
+    | Inquorate -> e.polls_inquorate <- e.polls_inquorate + 1
+    | Alarmed -> e.polls_alarmed <- e.polls_alarmed + 1)
+  | Vote_sent { voter; _ } ->
+    let e = entry t voter in
+    e.votes_sent <- e.votes_sent + 1
+  | Invitation_admitted { voter; _ } ->
+    let e = entry t voter in
+    e.invitations_admitted <- e.invitations_admitted + 1
+  | Invitation_accepted { voter; _ } ->
+    let e = entry t voter in
+    e.invitations_accepted <- e.invitations_accepted + 1
+  | Invitation_refused { voter; _ } ->
+    let e = entry t voter in
+    e.invitations_refused <- e.invitations_refused + 1
+  | Invitation_dropped { voter; _ } ->
+    let e = entry t voter in
+    e.invitations_dropped <- e.invitations_dropped + 1
+  | Repair_applied { poller; _ } ->
+    let e = entry t poller in
+    e.repairs <- e.repairs + 1
   | _ -> ()
 
 let entries t =
@@ -226,16 +179,15 @@ let relative_delta a b =
   let scale = Float.max 1. (Float.abs b) in
   Float.abs (a -. b) /. scale
 
-let reconcile t ~loyal_effort ~adversary_effort ~polls_succeeded ~polls_inquorate
-    ~polls_alarmed ~votes_supplied ~invitations_considered =
+let reconcile t (m : Metrics.summary) =
   let s = totals t in
-  let loyal_delta = relative_delta s.loyal_effort loyal_effort in
-  let adversary_delta = relative_delta s.adversary_effort adversary_effort in
-  let polls_succeeded_delta = s.total_polls_succeeded - polls_succeeded in
-  let polls_inquorate_delta = s.total_polls_inquorate - polls_inquorate in
-  let polls_alarmed_delta = s.total_polls_alarmed - polls_alarmed in
-  let votes_delta = s.total_votes_sent - votes_supplied in
-  let invitations_delta = s.total_invitations_admitted - invitations_considered in
+  let loyal_delta = relative_delta s.loyal_effort m.loyal_effort in
+  let adversary_delta = relative_delta s.adversary_effort m.adversary_effort in
+  let polls_succeeded_delta = s.total_polls_succeeded - m.polls_succeeded in
+  let polls_inquorate_delta = s.total_polls_inquorate - m.polls_inquorate in
+  let polls_alarmed_delta = s.total_polls_alarmed - m.polls_alarmed in
+  let votes_delta = s.total_votes_sent - m.votes_supplied in
+  let invitations_delta = s.total_invitations_admitted - m.invitations_considered in
   {
     loyal_delta;
     adversary_delta;
@@ -273,7 +225,9 @@ let reconciliation_to_json r =
     ]
 
 let phase_assoc values =
-  List.map (fun p -> (phase_to_string p, Json.Float values.(phase_index p))) all_phases
+  List.map
+    (fun p -> (Trace.effort_phase_to_string p, Json.Float values.(phase_index p)))
+    Trace.all_effort_phases
 
 let entry_to_json e =
   Json.Assoc

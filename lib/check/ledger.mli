@@ -1,6 +1,6 @@
 (** Per-peer provable-effort ledger, reconstructed from trace events.
 
-    The ledger consumes analyzer views of trace events ({!View.t}) and
+    The ledger consumes typed trace events ({!Lockss.Trace.event}) and
     accumulates, per peer, the provable effort it {e spent} and the
     effort other peers {e proved to it}, split by protocol phase. It
     also counts the poll/vote/invitation outcomes each peer was
@@ -9,17 +9,11 @@
     Because every effort charge in the simulator is routed through the
     tracing helpers that also update the global metrics, summing the
     ledger over all peers reconstructs the [Metrics] aggregates exactly
-    (up to float addition order); {!reconcile} checks that invariant.
+    (up to float addition order); {!reconcile} checks that invariant. *)
 
-    This module reads only {!View.t}, never the typed event: it lives
-    below the protocol library, which fills the views. *)
-
-type phase = Admission | Solicitation | Voting | Evaluation | Repair
-
-val all_phases : phase list
-val phase_index : phase -> int
-val phase_to_string : phase -> string
-val phase_of_string : string -> phase option
+(** [phase_index p] is [p]'s slot in an entry's per-phase arrays, in
+    {!Lockss.Trace.all_effort_phases} order. *)
+val phase_index : Lockss.Trace.effort_phase -> int
 
 type entry = {
   peer : int;
@@ -47,9 +41,9 @@ type t
 
 val create : unit -> t
 
-(** [feed_view t v] consumes one trace event. Events that carry no
+(** [feed t ~time e] consumes one trace event. Events that carry no
     ledger information (faults, crashes) are ignored. *)
-val feed_view : t -> View.t -> unit
+val feed : t -> time:float -> Lockss.Trace.event -> unit
 
 (** [entries t] is every peer seen so far, sorted by peer id. *)
 val entries : t -> entry list
@@ -93,26 +87,17 @@ type reconciliation = {
   ok : bool;
 }
 
-(** [reconcile t ~loyal_effort ...] compares the ledger totals with the
-    corresponding [Metrics] aggregates (passed as plain numbers so this
-    module needs no simulator dependency). Float fields compare by
+(** [reconcile t summary] compares the ledger totals with the run's
+    metrics aggregates: loyal and adversary effort, poll outcomes, votes
+    supplied and invitations considered. Float fields compare by
     relative error with tolerance [1e-6]; counters must match exactly. *)
-val reconcile :
-  t ->
-  loyal_effort:float ->
-  adversary_effort:float ->
-  polls_succeeded:int ->
-  polls_inquorate:int ->
-  polls_alarmed:int ->
-  votes_supplied:int ->
-  invitations_considered:int ->
-  reconciliation
+val reconcile : t -> Lockss.Metrics.summary -> reconciliation
 
 val pp_reconciliation : Format.formatter -> reconciliation -> unit
-val reconciliation_to_json : reconciliation -> Json.t
+val reconciliation_to_json : reconciliation -> Obs.Json.t
 
-val entry_to_json : entry -> Json.t
-val to_json : t -> Json.t
+val entry_to_json : entry -> Obs.Json.t
+val to_json : t -> Obs.Json.t
 
 (** [pp] renders the per-peer table (efforts as humanised durations). *)
 val pp : Format.formatter -> t -> unit

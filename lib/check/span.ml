@@ -1,17 +1,6 @@
 module Duration = Repro_prelude.Duration
-
-type outcome = Success | Inquorate | Alarmed
-
-let outcome_to_string = function
-  | Success -> "success"
-  | Inquorate -> "inquorate"
-  | Alarmed -> "alarmed"
-
-let outcome_of_string = function
-  | "success" -> Some Success
-  | "inquorate" -> Some Inquorate
-  | "alarmed" -> Some Alarmed
-  | _ -> None
+module Json = Obs.Json
+module Trace = Lockss.Trace
 
 type span = {
   poller : int;
@@ -30,7 +19,7 @@ type span = {
   mutable repairs : int;
   mutable first_repair_at : float option;
   mutable concluded_at : float option;
-  mutable outcome : outcome option;
+  mutable outcome : Lockss.Metrics.poll_outcome option;
   mutable effort_spent : float;
   mutable effort_received : float;
   mutable late_events : int;
@@ -174,11 +163,11 @@ let lookup t key =
   | None -> (
     match Hashtbl.find_opt t.closed key with Some s -> `Closed s | None -> `Unknown)
 
-let note_orphan t ~kind ~time ((poller, au, poll_id) as key) =
+let note_orphan t event ~time ((poller, au, poll_id) as key) =
   t.orphan_events <- t.orphan_events + 1;
   if not (Hashtbl.mem t.orphans key) then begin
     Hashtbl.replace t.orphans key ();
-    add_anomaly t (Orphan_event { kind; poller; au; poll_id; time })
+    add_anomaly t (Orphan_event { kind = Trace.kind event; poller; au; poll_id; time })
   end
 
 (* The open span for [key], or [None] after accounting for the event
@@ -188,21 +177,23 @@ let note_orphan t ~kind ~time ((poller, au, poll_id) as key) =
    rather than taking an update callback keeps the per-event cost to
    the one [Some] cell — the callbacks captured [time] and allocated a
    closure per event. *)
-let open_span t ~kind ~time ~emitter ((poller, au, poll_id) as key) =
+let open_span t event ~time ~emitter ((poller, au, poll_id) as key) =
   match Hashtbl.find t.open_spans key with
   | span -> Some span
   | exception Not_found -> (
     match Hashtbl.find t.closed key with
     | span ->
       if emitter = poller then
-        add_anomaly t (Poller_event_after_conclusion { kind; poller; au; poll_id; time })
+        add_anomaly t
+          (Poller_event_after_conclusion
+             { kind = Trace.kind event; poller; au; poll_id; time })
       else begin
         span.late_events <- span.late_events + 1;
         t.late <- t.late + 1
       end;
       None
     | exception Not_found ->
-      note_orphan t ~kind ~time key;
+      note_orphan t event ~time key;
       None)
 
 let start_span t ~time ~poller ~au ~poll_id ~inner_candidates =
@@ -248,12 +239,12 @@ let start_span t ~time ~poller ~au ~poll_id ~inner_candidates =
     Hashtbl.replace t.open_by_pair (poller, au) span
   end
 
-let conclude t ~time ~poller ~au ~poll_id ~outcome =
+let conclude t event ~time ~poller ~au ~poll_id ~outcome =
   let key = (poller, au, poll_id) in
   match lookup t key with
   | `Open span ->
     span.concluded_at <- Some time;
-    span.outcome <- outcome;
+    span.outcome <- Some outcome;
     Hashtbl.remove t.open_spans key;
     (match Hashtbl.find_opt t.open_by_pair (poller, au) with
     | Some s when s == span -> Hashtbl.remove t.open_by_pair (poller, au)
@@ -267,118 +258,76 @@ let conclude t ~time ~poller ~au ~poll_id ~outcome =
          Abandoned_poll anomaly (the supersession really happened) but
          complete the record. *)
       span.concluded_at <- Some time;
-      span.outcome <- outcome)
-  | `Unknown -> note_orphan t ~kind:"poll_concluded" ~time key
+      span.outcome <- Some outcome)
+  | `Unknown -> note_orphan t event ~time key
 
-(* The (emitter, au, poll_id) correlation triple, shaped as the span
-   key. Top level so the per-event call allocates only the result. *)
-let triple (v : View.t) emitter =
-  match (emitter, v.View.au, v.View.poll_id) with
-  | Some p, Some a, Some id -> Some (p, a, id)
-  | _ -> None
-
-let feed_view t (v : View.t) =
+let feed t ~time (event : Trace.event) =
   t.events <- t.events + 1;
-  let kind = v.View.kind in
-  let time = v.View.time in
-  match kind with
-  | "poll_started" -> (
-    match triple v v.View.poller with
-    | Some (poller, au, poll_id) ->
-      let inner_candidates = Option.value ~default:0 v.View.inner_candidates in
-      start_span t ~time ~poller ~au ~poll_id ~inner_candidates
+  match event with
+  | Poll_started { poller; au; poll_id; inner_candidates } ->
+    start_span t ~time ~poller ~au ~poll_id ~inner_candidates
+  | Solicitation_sent { poller; au; poll_id; _ } -> (
+    match open_span t event ~time ~emitter:poller (poller, au, poll_id) with
+    | Some span -> span.solicitations <- span.solicitations + 1
     | None -> ())
-  | "solicitation_sent" -> (
-    match triple v v.View.poller with
-    | Some ((poller, _, _) as key) -> (
-      match open_span t ~kind ~time ~emitter:poller key with
-      | Some span -> span.solicitations <- span.solicitations + 1
-      | None -> ())
+  | Invitation_dropped { voter; claimed; au; poll_id; _ } -> (
+    match open_span t event ~time ~emitter:voter (claimed, au, poll_id) with
+    | Some span -> span.invitations_dropped <- span.invitations_dropped + 1
     | None -> ())
-  | "invitation_dropped" -> (
-    match (triple v v.View.claimed, v.View.voter) with
-    | Some key, Some voter -> (
-      match open_span t ~kind ~time ~emitter:voter key with
-      | Some span -> span.invitations_dropped <- span.invitations_dropped + 1
-      | None -> ())
-    | _ -> ())
-  | "invitation_refused" -> (
-    match (triple v v.View.poller, v.View.voter) with
-    | Some key, Some voter -> (
-      match open_span t ~kind ~time ~emitter:voter key with
-      | Some span -> span.invitations_refused <- span.invitations_refused + 1
-      | None -> ())
-    | _ -> ())
-  | "invitation_accepted" -> (
-    match (triple v v.View.poller, v.View.voter) with
-    | Some key, Some voter -> (
-      match open_span t ~kind ~time ~emitter:voter key with
-      | Some span -> span.invitations_accepted <- span.invitations_accepted + 1
-      | None -> ())
-    | _ -> ())
-  | "vote_sent" -> (
-    match (triple v v.View.poller, v.View.voter) with
-    | Some key, Some voter -> (
-      match open_span t ~kind ~time ~emitter:voter key with
-      | Some span ->
-        span.votes <- span.votes + 1;
-        if span.first_vote_at = None then span.first_vote_at <- Some time
-      | None -> ())
-    | _ -> ())
-  | "evaluation_started" -> (
-    match triple v v.View.poller with
-    | Some ((poller, _, _) as key) -> (
-      match open_span t ~kind ~time ~emitter:poller key with
-      | Some span ->
-        if span.evaluation_at = None then begin
-          span.evaluation_at <- Some time;
-          span.votes_at_evaluation <- Option.value ~default:0 v.View.votes
-        end
-      | None -> ())
+  | Invitation_refused { voter; poller; au; poll_id } -> (
+    match open_span t event ~time ~emitter:voter (poller, au, poll_id) with
+    | Some span -> span.invitations_refused <- span.invitations_refused + 1
     | None -> ())
-  | "repair_applied" -> (
-    match triple v v.View.poller with
-    | Some ((poller, _, _) as key) -> (
-      match open_span t ~kind ~time ~emitter:poller key with
-      | Some span ->
-        span.repairs <- span.repairs + 1;
-        if span.first_repair_at = None then span.first_repair_at <- Some time
-      | None -> ())
+  | Invitation_accepted { voter; poller; au; poll_id } -> (
+    match open_span t event ~time ~emitter:voter (poller, au, poll_id) with
+    | Some span -> span.invitations_accepted <- span.invitations_accepted + 1
     | None -> ())
-  | "poll_concluded" -> (
-    match triple v v.View.poller with
-    | Some (poller, au, poll_id) ->
-      let outcome = Option.bind v.View.outcome outcome_of_string in
-      conclude t ~time ~poller ~au ~poll_id ~outcome
+  | Vote_sent { voter; poller; au; poll_id } -> (
+    match open_span t event ~time ~emitter:voter (poller, au, poll_id) with
+    | Some span ->
+      span.votes <- span.votes + 1;
+      if span.first_vote_at = None then span.first_vote_at <- Some time
     | None -> ())
-  | "effort_charged" -> (
-    match (triple v v.View.poller, v.View.peer, v.View.seconds) with
-    | Some key, Some peer, Some seconds -> (
-      match open_span t ~kind ~time ~emitter:peer key with
-      | Some span -> span.effort_spent <- span.effort_spent +. seconds
-      | None -> ())
-    | _ -> ())
-  | "effort_received" -> (
+  | Evaluation_started { poller; au; poll_id; votes } -> (
+    match open_span t event ~time ~emitter:poller (poller, au, poll_id) with
+    | Some span ->
+      if span.evaluation_at = None then begin
+        span.evaluation_at <- Some time;
+        span.votes_at_evaluation <- votes
+      end
+    | None -> ())
+  | Repair_applied { poller; au; poll_id; _ } -> (
+    match open_span t event ~time ~emitter:poller (poller, au, poll_id) with
+    | Some span ->
+      span.repairs <- span.repairs + 1;
+      if span.first_repair_at = None then span.first_repair_at <- Some time
+    | None -> ())
+  | Poll_concluded { poller; au; poll_id; outcome } ->
+    conclude t event ~time ~poller ~au ~poll_id ~outcome
+  | Effort_charged
+      { peer; poller = Some poller; au = Some au; poll_id = Some poll_id; seconds; _ }
+    -> (
+    match open_span t event ~time ~emitter:peer (poller, au, poll_id) with
+    | Some span -> span.effort_spent <- span.effort_spent +. seconds
+    | None -> ())
+  | Effort_received { peer; from_; au; poll_id; seconds; _ } -> (
     (* The event names both endpoints but not which is the poller:
        resolve against the spans we know. Receipts the poller emits
        (vote proofs) key on [peer]; receipts a voter emits (intro and
-       remaining proofs) key on [from]. *)
-    match (v.View.peer, v.View.from_, v.View.au, v.View.poll_id, v.View.seconds) with
-    | Some peer, Some from_, Some au, Some poll_id, Some seconds -> (
-      let k_poller = (peer, au, poll_id) and k_voter = (from_, au, poll_id) in
-      match (lookup t k_poller, lookup t k_voter) with
-      | `Open span, _ | _, `Open span ->
-        span.effort_received <- span.effort_received +. seconds
-      | `Closed _, _ ->
-        (* The receiver was the poller: it must not book receipts
-           after its own conclusion. *)
-        add_anomaly t
-          (Poller_event_after_conclusion { kind; poller = peer; au; poll_id; time })
-      | _, `Closed span ->
-        span.late_events <- span.late_events + 1;
-        t.late <- t.late + 1
-      | `Unknown, `Unknown -> note_orphan t ~kind ~time k_voter)
-    | _ -> ())
+       remaining proofs) key on [from_]. *)
+    let k_poller = (peer, au, poll_id) and k_voter = (from_, au, poll_id) in
+    match (lookup t k_poller, lookup t k_voter) with
+    | `Open span, _ | _, `Open span -> span.effort_received <- span.effort_received +. seconds
+    | `Closed _, _ ->
+      (* The receiver was the poller: it must not book receipts after
+         its own conclusion. *)
+      add_anomaly t
+        (Poller_event_after_conclusion
+           { kind = Trace.kind event; poller = peer; au; poll_id; time })
+    | _, `Closed span ->
+      span.late_events <- span.late_events + 1;
+      t.late <- t.late + 1
+    | `Unknown, `Unknown -> note_orphan t event ~time k_voter)
   | _ -> ()
 
 let closed_spans t = List.rev t.closed_rev
@@ -424,7 +373,7 @@ let span_to_json span =
       ( "outcome",
         match span.outcome with
         | None -> Json.Null
-        | Some o -> Json.String (outcome_to_string o) );
+        | Some o -> Json.String (Trace.poll_outcome_to_string o) );
       ("effort_spent", Json.Float span.effort_spent);
       ("effort_received", Json.Float span.effort_received);
       ("late_events", Json.Int span.late_events);

@@ -3,8 +3,8 @@
     A span is one poll's lifecycle, keyed by the [(poller, au, poll_id)]
     correlation triple every poll-scoped trace event carries: started,
     solicited, voted on, evaluated, repaired, concluded. The builder
-    consumes analyzer views of trace events ({!View.t}; live from the
-    trace bus, or offline from the typed events decoded out of a trace
+    consumes typed trace events ({!Lockss.Trace.event}; live from the
+    trace bus, or offline as [Lockss.Trace.iter_file] decodes a trace
     file) and maintains open and closed spans plus an anomaly list.
 
     Anomalies are trace shapes a healthy, fault-free run never
@@ -18,11 +18,6 @@
     anomalies: conclusion is an event at the poller, and votes or
     receipts legitimately cross it in flight. They are counted as
     informational "late" events instead. *)
-
-type outcome = Success | Inquorate | Alarmed
-
-val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
 
 type span = {
   poller : int;
@@ -41,7 +36,8 @@ type span = {
   mutable repairs : int;
   mutable first_repair_at : float option;
   mutable concluded_at : float option;
-  mutable outcome : outcome option;  (** [None] also for abandoned spans *)
+  mutable outcome : Lockss.Metrics.poll_outcome option;
+      (** [None] also for abandoned spans *)
   mutable effort_spent : float;  (** charges correlated with this poll, any peer *)
   mutable effort_received : float;  (** receipts correlated with this poll *)
   mutable late_events : int;  (** voter-side events after the conclusion *)
@@ -75,15 +71,15 @@ type anomaly =
     }
 
 val pp_anomaly : Format.formatter -> anomaly -> unit
-val anomaly_to_json : anomaly -> Json.t
+val anomaly_to_json : anomaly -> Obs.Json.t
 
 type t
 
 val create : unit -> t
 
-(** [feed_view t v] consumes one trace event. Events without poll
+(** [feed t ~time e] consumes one trace event. Events without poll
     correlation are ignored. *)
-val feed_view : t -> View.t -> unit
+val feed : t -> time:float -> Lockss.Trace.event -> unit
 
 (** [note_malformed t ~line ~error] records a {!Malformed_line} anomaly
     — called by the offline reader for records that fail to decode. *)
@@ -107,4 +103,4 @@ val anomaly_count : t -> int
 val orphan_events : t -> int
 val late_events : t -> int
 val event_count : t -> int
-val span_to_json : span -> Json.t
+val span_to_json : span -> Obs.Json.t

@@ -392,33 +392,31 @@ let outcomes =
       (Metrics.Alarmed, "alarmed");
     ]
 
+let poll_outcome_to_string = to_string outcomes
+
 (* -- Event schema ------------------------------------------------------- *)
 
-(* A record member: its name and atom ([id]), its JSONL prefix
-   (separator, quoted name, colon), whether its value names a peer
-   taking part in the event (what {!involves} matches), and whether the
-   analyzers read it ({!to_view}). *)
-type key = { id : token; prefix : string; ident : bool; viewed : bool }
+(* A record member: its name and atom ([id]) and its JSONL prefix
+   (separator, quoted name, colon). *)
+type key = { id : token; prefix : string }
 
-let key ?(ident = false) name =
+let key name =
   let id = token name in
-  { id; prefix = "," ^ id.quoted ^ ":"; ident; viewed = Obs.View.reads name }
+  { id; prefix = "," ^ id.quoted ^ ":" }
 
 (* The header every record opens with; ["t"] also opens the JSON object. *)
 let k_t = { (key "t") with prefix = "{\"t\":" }
 let k_severity = key "severity"
 let k_kind = key "kind"
-let k_poller = key ~ident:true "poller"
-let k_voter = key ~ident:true "voter"
-let k_claimed = key ~ident:true "claimed"
-let k_peer = key ~ident:true "peer"
-let k_from = key ~ident:true "from"
-let k_src = key ~ident:true "src"
-let k_dst = key ~ident:true "dst"
-let k_node = key ~ident:true "node"
-let k_invited = key ~ident:true "invited"
-
-(* The list a poll sampled from: being on it is not taking part. *)
+let k_poller = key "poller"
+let k_voter = key "voter"
+let k_claimed = key "claimed"
+let k_peer = key "peer"
+let k_from = key "from"
+let k_src = key "src"
+let k_dst = key "dst"
+let k_node = key "node"
+let k_invited = key "invited"
 let k_reference = key "reference"
 let k_au = key "au"
 let k_poll_id = key "poll_id"
@@ -639,7 +637,7 @@ let kind event = (kind_token event).name
 let all_kinds = Array.to_list (Array.map fst kinds)
 
 (* The encoding side of the schema: one callback per value shape, each
-   taking the encoder's state [s] (a buffer, a writer, a view), so every
+   taking the encoder's state [s] (a buffer, a writer, a counter), so every
    visitor is a static value and walking an event allocates nothing. *)
 type 's visitor = {
   int : 's -> key -> int -> unit;
@@ -760,32 +758,6 @@ let walk v s ~time event =
   v.tok s k_kind (kind_token event);
   fields v s event
 
-let skip _ _ _ = ()
-
-let nop =
-  {
-    int = skip;
-    opt_int = skip;
-    float = skip;
-    bool = skip;
-    ids = skip;
-    tok = skip;
-    str = skip;
-  }
-
-let involves event id =
-  let found = ref false in
-  let hit found k i = if k.ident && Ids.Identity.equal i id then found := true in
-  let hit_any found k xs = List.iter (hit found k) xs in
-  fields { nop with int = hit; opt_int = present hit; ids = hit_any } found event;
-  !found
-
-let au_of event =
-  let au = ref None in
-  let found au k o = if k == k_au then au := o in
-  fields { nop with int = (fun au k i -> found au k (Some i)); opt_int = found } au event;
-  !au
-
 (* -- JSON round-trip --------------------------------------------------- *)
 
 let json_int members k i = members := (k.id.name, Json.Int i) :: !members
@@ -854,28 +826,6 @@ let of_json json =
 
 let iter_file path ~f =
   Obs.Trace_file.iter path ~f:(fun ~line record -> f ~line (Result.bind record of_json))
-
-(* -- Analyzer views ----------------------------------------------------- *)
-
-(* Fills the view [to_view] allocates per event. Only members the
-   analyzers read are stored, and only their options allocated; an
-   optional member's option is stored as it is. *)
-let view_visitor =
-  let module V = Obs.View in
-  {
-    nop with
-    int = (fun view k i -> if k.viewed then V.set_int view k.id.name (Some i));
-    opt_int = (fun view k o -> if k.viewed then V.set_int view k.id.name o);
-    float = (fun view k f -> if k.viewed then V.set_float view k.id.name (Some f));
-    tok = (fun view k t -> if k.viewed then V.set_string view k.id.name (Some t.name));
-    str = (fun view k s -> if k.viewed then V.set_string view k.id.name (Some s));
-  }
-
-(* The view reads no severity, so only the payload is walked. *)
-let to_view ~time event =
-  let view = Obs.View.create ~kind:(kind event) ~time in
-  fields view_visitor view event;
-  view
 
 (* -- Sinks ------------------------------------------------------------- *)
 
@@ -1056,22 +1006,6 @@ let binary_sink ?(min_severity = Debug) w =
       walk binary_visitor w ~time event;
       Obs.Btrace.end_record w ~now:time ()
     end
-
-let filter_sink ?min_severity ?peer ?au ?kinds inner ~time event =
-  let pass =
-    (match min_severity with
-    | None -> true
-    | Some min -> severity_at_least min (severity event))
-    && (match peer with None -> true | Some id -> involves event id)
-    && (match au with
-       | None -> true
-       | Some a -> (
-         match au_of event with
-         | Some event_au -> Ids.Au_id.equal a event_au
-         | None -> false))
-    && match kinds with None -> true | Some ks -> List.mem (kind event) ks
-  in
-  if pass then inner ~time event
 
 (* -- Recording --------------------------------------------------------- *)
 

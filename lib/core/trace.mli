@@ -10,11 +10,11 @@
     [(poller, au, poll_id)] (the dropped-invitation event carries the
     {e claimed} poller), so a poll can be followed from solicitation
     through evaluation to repair and conclusion — live via {!subscribe}
-    or offline from a JSONL trace ({!Obs.Span}, {!Obs.Analyze}).
+    or offline from a trace file ([Check.Span], [Check.Analyze]).
 
     Beyond raw subscription, this module provides an event taxonomy
-    ({!kind}, {!severity}), composable {{!sinks} sinks} (pretty-printing,
-    JSONL, binary, filtering), a lossless JSON round-trip ({!to_json} /
+    ({!kind}, {!severity}), {{!sinks} sinks} (pretty-printing, JSONL,
+    binary), a lossless JSON round-trip ({!to_json} /
     {!of_json}), one typed trace-file reader ({!iter_file}) and a
     bounded-ring {!recorder} that counts what it had to drop instead of
     losing it silently.
@@ -23,14 +23,16 @@
     in the [fields] walk of [trace.ml]: one arm per constructor, one line
     per member, each naming a static key. Every encoder is derived from
     that walk ({!to_json}, {!write_jsonl} and {!buffered_jsonl_sink},
-    {!binary_sink}, {!to_view}, {!involves}, {!au_of}), and each enum's
-    spellings come from one token table. Decoding ({!of_json}) reads the
-    same keys through one decode arm per constructor, whose row in the
-    kind table also gives {!kind} and {!all_kinds}. Adding an event takes
-    five edits: the constructor (in [trace.ml] and here), its
-    {!pp_event} arm, its {!severity} arm, its [fields] arm, and its
-    decode arm — a row of the kind table, which lists kinds in
-    constructor order. *)
+    {!binary_sink}), and each enum's spellings come from one token
+    table. Decoding ({!of_json}) reads the same keys through one decode
+    arm per constructor, whose row in the kind table also gives {!kind}
+    and {!all_kinds}. Adding an event takes five edits: the constructor
+    (in [trace.ml] and here), its {!pp_event} arm, its {!severity} arm,
+    its [fields] arm, and its decode arm — a row of the kind table, which
+    lists kinds in constructor order. The analyzers ([Check.Span],
+    [Check.Ledger], [Check.Auditor]) match the typed constructors
+    themselves; a poll-scoped event they should follow needs an arm
+    there too. *)
 
 (** {2 Effort taxonomy}
 
@@ -290,14 +292,9 @@ val kind : event -> string
 (** All kind names, in declaration order. *)
 val all_kinds : string list
 
-(** [involves e id] is [true] when [id] appears in any role of [e]
-    (poller, voter, claimed identity, effort spender or prover). *)
-val involves : event -> Ids.Identity.t -> bool
-
-(** [au_of e] is the archival unit the event concerns; [None] for fault
-    and churn events, which are not tied to any AU, and for effort
-    charges without a correlated AU. *)
-val au_of : event -> Ids.Au_id.t option
+(** [poll_outcome_to_string o] is the trace spelling of a poll outcome:
+    ["success"], ["inquorate"] or ["alarmed"]. *)
+val poll_outcome_to_string : Metrics.poll_outcome -> string
 
 (** {2:sinks Sinks} *)
 
@@ -319,18 +316,6 @@ val buffered_jsonl_sink : ?min_severity:severity -> Obs.Sink.t -> sink
     trace format ({!Obs.Btrace}); decoding yields exactly the
     {!to_json} value, so binary and JSONL traces analyze identically. *)
 val binary_sink : ?min_severity:severity -> Obs.Btrace.writer -> sink
-
-(** [filter_sink ?min_severity ?peer ?au ?kinds inner] forwards only
-    matching events: severity at least [min_severity], involving [peer],
-    concerning [au], with {!kind} listed in [kinds]. Omitted criteria
-    admit everything. *)
-val filter_sink :
-  ?min_severity:severity ->
-  ?peer:Ids.Identity.t ->
-  ?au:Ids.Au_id.t ->
-  ?kinds:string list ->
-  sink ->
-  sink
 
 (** {2 JSON round-trip} *)
 
@@ -361,12 +346,6 @@ val iter_file :
     building the intermediate JSON value. Byte parity with {!to_json} is
     guarded by a test in test/test_trace_pipeline.ml. *)
 val write_jsonl : Buffer.t -> time:float -> event -> unit
-
-(** [to_view ~time e] is the analyzer projection of [e]: the members
-    {!Obs.View.reads} names, stored under their serialised names. Live
-    span/ledger bridges and offline trace readers alike feed it to
-    [Obs.Analyze]. *)
-val to_view : time:float -> event -> Obs.View.t
 
 (** {2 Recording} *)
 

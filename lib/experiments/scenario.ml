@@ -277,14 +277,12 @@ let subscribe_observers ?profiler ~observe ~seed population =
     | spans_out, ledger_out ->
       (* The live analyzer subscribes below the severity filter: span
          and ledger reconstruction need the full Debug stream even when
-         the trace file itself is written at a higher level. Events
-         reach it as views ({!Lockss.Trace.to_view}), the same path
-         offline analysis of a trace file takes. *)
-      let analyzer = Obs.Analyze.create () in
+         the trace file itself is written at a higher level. It reads
+         the same typed events offline analysis of a trace file does. *)
+      let analyzer = Check.Analyze.create () in
       Lockss.Trace.subscribe
         (Lockss.Population.trace population)
-        (fun ~time event ->
-          Obs.Analyze.feed_view analyzer (Lockss.Trace.to_view ~time event));
+        (Check.Analyze.feed analyzer);
       cleanups :=
         (fun () ->
           (match spans_out with
@@ -293,32 +291,24 @@ let subscribe_observers ?profiler ~observe ~seed population =
             Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
                 List.iter
                   (fun span ->
-                    output_string oc (Obs.Json.to_string (Obs.Span.span_to_json span));
+                    output_string oc (Obs.Json.to_string (Check.Span.span_to_json span));
                     output_char oc '\n')
-                  (Obs.Span.spans (Obs.Analyze.span_builder analyzer))));
+                  (Check.Span.spans (Check.Analyze.span_builder analyzer))));
           match ledger_out with
           | None -> ()
           | Some path ->
-            let summary = Lockss.Population.summary population in
-            let ledger = Obs.Analyze.ledger analyzer in
+            let ledger = Check.Analyze.ledger analyzer in
             let reconciliation =
-              Obs.Ledger.reconcile ledger
-                ~loyal_effort:summary.Lockss.Metrics.loyal_effort
-                ~adversary_effort:summary.Lockss.Metrics.adversary_effort
-                ~polls_succeeded:summary.Lockss.Metrics.polls_succeeded
-                ~polls_inquorate:summary.Lockss.Metrics.polls_inquorate
-                ~polls_alarmed:summary.Lockss.Metrics.polls_alarmed
-                ~votes_supplied:summary.Lockss.Metrics.votes_supplied
-                ~invitations_considered:summary.Lockss.Metrics.invitations_considered
+              Check.Ledger.reconcile ledger (Lockss.Population.summary population)
             in
             Out_channel.with_open_text (seeded_path path ~seed) (fun oc ->
                 output_string oc
                   (Obs.Json.to_string
                      (Obs.Json.Assoc
                         [
-                          ("ledger", Obs.Ledger.to_json ledger);
+                          ("ledger", Check.Ledger.to_json ledger);
                           ( "reconciliation",
-                            Obs.Ledger.reconciliation_to_json reconciliation );
+                            Check.Ledger.reconciliation_to_json reconciliation );
                         ]));
                 output_char oc '\n'))
         :: !cleanups);

@@ -98,7 +98,7 @@ type observe = {
           (columns {!Lockss.Sampler.columns}) *)
   sample_interval : float;  (** seconds of simulated time between samples *)
   spans_out : string option;
-      (** write reconstructed poll spans ({!Obs.Span.span_to_json}, one
+      (** write reconstructed poll spans ({!Check.Span.span_to_json}, one
           JSONL line per poll) to this path, suffixed per run by seed.
           The live span builder subscribes below the severity filter, so
           spans are complete even at [trace_level = Warn] *)
@@ -108,7 +108,7 @@ type observe = {
           suffixed per run by seed *)
   profile_out : string option;
       (** write a run-wide profile (phase wall-clock, GC counters,
-          metric registry snapshot, engine stats) as one JSON object to
+          engine stats) as one JSON object to
           this path, suffixed per run by seed *)
 }
 

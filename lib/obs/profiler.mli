@@ -1,6 +1,6 @@
 (** Run-wide profiler: phase wall-clock, GC/allocation counters and
-    per-domain utilisation, folded into a {!Registry} so one artifact
-    answers "where did this run spend its time".
+    per-domain utilisation, reported as one JSON object that answers
+    "where did this run spend its time".
 
     The profiler is deliberately pull-based and cheap: {!phase} wraps a
     stage in two clock reads, {!sample_gc} is one [Gc.quick_stat], and
@@ -34,17 +34,13 @@ val gc_to_json : gc -> Json.t
 
 type t
 
-(** [create ?registry ?clock ()] — [registry] defaults to a fresh one;
-    [clock] (seconds, monotonic preferred) defaults to
-    {!Repro_prelude.Monotonic.now_s} and exists so tests can drive time
-    by hand. *)
-val create : ?registry:Registry.t -> ?clock:(unit -> float) -> unit -> t
-
-val registry : t -> Registry.t
+(** [create ?clock ()] — [clock] (seconds, monotonic preferred)
+    defaults to {!Repro_prelude.Monotonic.now_s} and exists so tests can
+    drive time by hand. *)
+val create : ?clock:(unit -> float) -> unit -> t
 
 (** [phase t name f] runs [f] and adds its wall-clock to phase [name]
-    (accumulating across calls), exception-safely. Also mirrored to the
-    registry gauge [profile.phase.<name>_s]. *)
+    (accumulating across calls), exception-safely. *)
 val phase : t -> string -> (unit -> 'a) -> 'a
 
 (** [add_phase_time t name seconds] credits time measured externally. *)
@@ -53,11 +49,8 @@ val add_phase_time : t -> string -> float -> unit
 (** Accumulated seconds for a phase; [0.] if never entered. *)
 val phase_seconds : t -> string -> float
 
-(** [sample_gc t] snapshots [Gc.quick_stat] into registry gauges
-    ([gc.minor_words], [gc.major_words], [gc.promoted_words],
-    [gc.allocated_words], [gc.heap_words], [gc.top_heap_words]) and
-    counters ([gc.minor_collections], [gc.major_collections],
-    [gc.compactions] — set to the cumulative runtime values). *)
+(** [sample_gc t] snapshots [Gc.quick_stat] (cumulative runtime values)
+    as the GC sample {!snapshot_json} reports. *)
 val sample_gc : t -> unit
 
 (** [note_domain t ~domain ~busy_s ~tasks] accumulates utilisation for
@@ -95,6 +88,6 @@ type domain_stat = {
 (** Sorted by domain id. *)
 val domain_stats : t -> domain_stat list
 
-(** Phases in first-entered order, domains, last GC sample and the full
-    registry snapshot, as one JSON object. *)
+(** Phases in first-entered order, domains and the last GC sample
+    ({!gc_to_json}), as one JSON object. *)
 val snapshot_json : t -> Json.t

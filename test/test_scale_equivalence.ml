@@ -169,12 +169,11 @@ let case_analyze () =
         Sys.remove path;
         s
       in
-      let analyzer = Obs.Analyze.create () in
+      let analyzer = Check.Analyze.create () in
       let auditor = Scenario.make_auditor ~cfg () in
       ignore
         (Lockss.Trace.iter_file (seeded trace) ~f:(fun ~line record ->
-             Obs.Analyze.feed_record analyzer ~line
-               (Result.map (fun (time, e) -> Lockss.Trace.to_view ~time e) record);
+             Check.Analyze.feed_record analyzer ~line record;
              Check.Auditor.feed_record auditor ~line record));
       Check.Auditor.finish auditor;
       let live = read spans ^ read ledger in
@@ -182,7 +181,7 @@ let case_analyze () =
       String.concat "\n---\n"
         [
           live;
-          Obs.Json.to_string (Obs.Analyze.report_json analyzer);
+          Obs.Json.to_string (Check.Analyze.report_json analyzer);
           Obs.Json.to_string (Check.Auditor.report_json auditor);
         ])
 

@@ -429,8 +429,7 @@ let test_codec_allocation () =
           check "binary_sink" 2.243
             (words_per_event (Trace.binary_sink (Btrace.writer sink)));
           check "buffered_jsonl_sink" 5.28
-            (words_per_event (Trace.buffered_jsonl_sink sink))));
-  check "to_view" 20.32 (words_per_event (fun ~time e -> ignore (Trace.to_view ~time e)))
+            (words_per_event (Trace.buffered_jsonl_sink sink))))
 
 (* -- Emit short-circuiting ----------------------------------------------- *)
 
@@ -545,12 +544,9 @@ let test_run_trace_encodings_agree () =
               (* The two encodings of the same run must analyze
                  byte-identically. *)
               let report path =
-                let analyzer = Obs.Analyze.create () in
-                ignore
-                  (Trace.iter_file path ~f:(fun ~line record ->
-                       Obs.Analyze.feed_record analyzer ~line
-                         (Result.map (fun (time, e) -> Trace.to_view ~time e) record)));
-                Json.to_string (Obs.Analyze.report_json analyzer)
+                let analyzer = Check.Analyze.create () in
+                ignore (Trace.iter_file path ~f:(Check.Analyze.feed_record analyzer));
+                Json.to_string (Check.Analyze.report_json analyzer)
               in
               Alcotest.(check string) "identical trace-report" (report jsonl_file)
                 (report binary_file);
@@ -620,7 +616,7 @@ let test_profiler_domains_and_snapshot () =
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " present") true (Json.member key snapshot <> None))
-    [ "phases"; "domains"; "gc"; "registry" ]
+    [ "phases"; "domains"; "gc" ]
 
 let test_profiler_gc_delta () =
   let before = Obs.Profiler.gc_now () in
