@@ -30,7 +30,7 @@
     (in [trace.ml] and here), its {!pp_event} arm, its {!severity} arm,
     its [fields] arm, and its decode arm — a row of the kind table, which
     lists kinds in constructor order. The analyzers ([Check.Span],
-    [Check.Ledger], [Check.Auditor]) match the typed constructors
+    [Check.Ledger], [Check.Invariant]) match the typed constructors
     themselves; a poll-scoped event they should follow needs an arm
     there too. *)
 
