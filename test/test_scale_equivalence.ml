@@ -139,6 +139,45 @@ let case_soak () =
   in
   Obs.Json.to_string (Chaos.soak_json report)
 
+(* One audited faulted seed at paper scale and its fault-free pair:
+   every number the fault harness reads — the faulted summary, the
+   injector's counters, the engine's pending population at the
+   horizon's midpoint and end, the auditor's and the leak audit's
+   violations — and the fault-free summary it is measured against. *)
+let case_faulted_seed () =
+  let scale = { paper_short with Scenario.seed = 4 } in
+  let r =
+    Chaos.run_seed ~check:Scenario.make_auditor ~scale ~seed:4 Chaos.default_mix
+  in
+  let f = Option.get (Lockss.Population.faults r.Chaos.population) in
+  let net = (Lockss.Population.ctx r.Chaos.population).Lockss.Peer.net in
+  let fault_free =
+    Scenario.run_one ~cfg:(Scenario.config scale) ~seed:4 ~years:scale.Scenario.years
+      Scenario.No_attack
+  in
+  let violations vs =
+    String.concat "" (List.map (Format.asprintf "%a\n" Check.Invariant.pp_violation) vs)
+  in
+  String.concat "\n"
+    [
+      summary_string r.Chaos.summary;
+      Printf.sprintf
+        "faults: dropped %d duplicated %d delayed %d corrupted %d replayed %d stale %d \
+         stray %d crashes %d restarts %d down %d"
+        (Narses.Faults.dropped_count f) (Narses.Faults.duplicated_count f)
+        (Narses.Faults.delayed_count f) (Narses.Faults.corrupted_count f)
+        (Narses.Faults.replayed_count f) (Narses.Faults.stale_count f)
+        (Narses.Faults.stray_count f) (Narses.Faults.crash_count f)
+        (Narses.Faults.restart_count f) (Narses.Faults.down_count f);
+      Printf.sprintf "net: sent %d delivered %d dropped %d injected %d"
+        (Narses.Net.sent_count net) (Narses.Net.delivered_count net)
+        (Narses.Net.dropped_count net) (Narses.Net.injected_count net);
+      Printf.sprintf "pending: mid %d end %d" r.Chaos.pending_mid r.Chaos.pending_end;
+      "audit:\n" ^ violations r.Chaos.audit;
+      "leaks:\n" ^ violations r.Chaos.leaks;
+      "fault-free:\n" ^ summary_string fault_free;
+    ]
+
 (* The analyzers on an attacked run, byte for byte: the live span and
    ledger files the observed run wrote, the offline report of the Debug
    trace that same run wrote, and the auditor's report of that trace.
@@ -196,6 +235,7 @@ let cases =
     ("soak", case_soak);
     ("run-trace-binary", case_run_trace_binary);
     ("analyze", case_analyze);
+    ("faulted-seed", case_faulted_seed);
   ]
 
 (* -- Golden plumbing ----------------------------------------------------- *)
