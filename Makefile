@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke trace-report-smoke chaos-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-perf bench-perf-test pin-baseline diff-baseline clean
+.PHONY: all build test check smoke trace-report-smoke soak-smoke runner-smoke audit-smoke baseline-smoke bench bench-perf bench-perf-test pin-baseline diff-baseline clean
 
 all: build
 
@@ -59,19 +59,14 @@ trace-report-smoke: build
 	  { echo "trace-report-smoke: jsonl -> binary -> jsonl is not the identity" >&2; exit 1; }
 	@echo "trace-report-smoke: OK"
 
-# Fault-injection smoke: a small deployment under the acceptance fault
-# mix; the chaos command exits non-zero if any invariant fails.
-chaos-smoke: build
-	dune exec bin/lockss_sim.exe -- chaos --peers 15 --aus 2 --quorum 4 \
-	  --years 1 --seed 3 \
-	  --loss 0.05 --jitter 0.5 --dup 0.02 --churn 0.01 --fault-seed 7
-	@echo "chaos-smoke: OK"
-
-# Soak smoke: a small multi-seed sweep under the full Byzantine fault
-# mix (loss, jitter, duplication, churn, corruption, replay, stale
+# Fault-injection smoke: a small multi-seed sweep under the acceptance
+# fault mix (loss, jitter, duplication, churn, corruption, replay, stale
 # delivery, stray injection). Fails if any seed sees a handler
-# exception, an auditor violation, a leaked timer/session, or zero
-# progress; the JSON report records the per-seed verdicts either way.
+# exception, zero progress, or any violation: an auditor invariant, a
+# leaked timer/session, a stuck poll, pending-event growth, a message
+# or churn accounting mismatch, or degradation past ten times its
+# fault-free pair; the JSON report records the per-seed verdicts
+# either way.
 soak-smoke: build
 	dune exec bin/lockss_sim.exe -- soak --peers 15 --aus 2 --quorum 4 \
 	  --years 1 --seed 1 --seeds 8 --fault-seed 7 --json soak-report.json

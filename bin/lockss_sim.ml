@@ -3,8 +3,8 @@
 
      lockss_sim run           -- one scenario, fully parameterised
      lockss_sim reproduce     -- regenerate a paper figure/table
-     lockss_sim ablate …      -- the paper's other experiments (Registry)
-     lockss_sim chaos         -- fault injection + invariant checks
+     lockss_sim ablate …      -- the other experiments (Registry)
+     lockss_sim soak          -- fault injection + invariant checks
      lockss_sim pin-baseline  -- pin golden result baselines
      lockss_sim diff-baseline -- diff fresh results against the pins *)
 
@@ -90,11 +90,11 @@ let interval_months =
     & opt float 3.0
     & info [ "interval-months" ] ~docv:"M" ~doc:"Inter-poll interval in months.")
 
-(* -- Fault-injection options (shared by run and chaos) ----------------- *)
+(* -- Fault-injection options (shared by run and soak) ------------------ *)
 
 (* [mix_term defaults] builds the --loss/--jitter/--dup/--churn family;
-   [run] defaults everything to zero (faults opt-in), [chaos] defaults to
-   the standard chaos mix. *)
+   [run] defaults everything to zero (faults opt-in), [soak] defaults to
+   the acceptance mix. *)
 let mix_term (d : Chaos.mix) =
   let loss =
     Arg.(
@@ -191,7 +191,7 @@ let mix_term (d : Chaos.mix) =
     const make $ loss $ jitter $ dup $ churn $ downtime_days $ corrupt $ replay $ stale
     $ stray $ fault_seed)
 
-(* The chaos and soak commands reject an invalid mix before running. *)
+(* The soak command rejects an invalid mix before running. *)
 let validate_mix mix =
   try Narses.Faults.validate (Chaos.faults_config mix)
   with Invalid_argument msg ->
@@ -502,40 +502,6 @@ let run_cmd =
           network faults.")
     term
 
-(* -- chaos command ----------------------------------------------------- *)
-
-let chaos_cmd =
-  let ablation =
-    Arg.(
-      value
-      & flag
-      & info [ "ablation" ]
-          ~doc:"Also print the faults × pipe-stoppage ablation table (4 extra runs).")
-  in
-  let action peers aus quorum years seed jobs kind coverage duration_days mix ablation =
-    set_jobs jobs;
-    let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs:1 ~seed in
-    let attack = attack_of kind ~coverage ~duration_days in
-    validate_mix mix;
-    let report = Chaos.run ~scale ~attack mix in
-    Format.printf "%a" Chaos.pp_report report;
-    if ablation then Repro_prelude.Table.print (Chaos.ablation ~scale mix);
-    if not (Chaos.all_green report) then exit 1
-  in
-  let term =
-    Term.(
-      const action $ peers $ aus $ quorum $ years $ seed $ jobs $ attack_kind $ coverage
-      $ duration_days $ mix_term Chaos.default_mix $ ablation)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run a scenario under an injected fault mix (loss, jitter, duplication, \
-          churn) and check protocol invariants: liveness, no stuck polls, no leaked \
-          timeouts, message conservation, churn accounting and bounded degradation \
-          versus the fault-free paired run. Exit status 1 if any invariant fails.")
-    term
-
 (* -- soak command ------------------------------------------------------ *)
 
 let soak_cmd =
@@ -586,9 +552,11 @@ let soak_cmd =
          "Soak the protocol across many independent seeds under the full Byzantine \
           fault mix (loss, jitter, duplication, churn, corruption, replay, stale \
           delivery, stray injection) with the runtime invariant auditor attached and \
-          an end-of-run leak audit. A seed fails on any handler exception, invariant \
-          violation, leaked timer/session, or lack of progress. Exit status 1 unless \
-          every seed is clean.")
+          an end-of-run leak audit, each seed paired with its fault-free run. A seed \
+          fails on any handler exception, lack of progress, or violation: an auditor \
+          invariant, a leaked timer/session, a stuck poll, pending-event growth, a \
+          message or churn accounting mismatch, or access failure beyond an order of \
+          magnitude of the fault-free run. Exit status 1 unless every seed is clean.")
     term
 
 (* -- reproduce command ------------------------------------------------- *)
@@ -601,19 +569,6 @@ let resolve_figure name =
   | Error msg ->
     prerr_endline msg;
     exit 2
-
-(* Compare one freshly captured pinned entry against its pin. Returns
-   the report, or an error when the pin is unreadable/absent. *)
-let check_target ~dir sweeps target =
-  let pin_path = Obs.Baseline.path ~dir target in
-  match Obs.Baseline.load pin_path with
-  | Error msg ->
-    Error
-      (Printf.sprintf "%s — pin it first with: lockss_sim pin-baseline %s" msg target)
-  | Ok pinned ->
-    Result.map
-      (fun current -> Obs.Baseline.compare ~baseline:pinned ~current)
-      (Registry.capture sweeps target)
 
 let reproduce_cmd =
   let target =
@@ -637,24 +592,14 @@ let reproduce_cmd =
             "Also write gnuplot .dat/.gp files into $(docv) for the figure and the \
              figures that share its sweep.")
   in
-  let check_baseline =
-    Arg.(
-      value & flag
-      & info [ "check-baseline" ]
-          ~doc:
-            "After regenerating the target, diff its metrics against the pinned golden \
-             baseline in --baseline-dir and print the per-metric delta report; exit \
-             status 1 on any drift past tolerance (or when no baseline is pinned).")
-  in
   let action target peers aus quorum years runs seed jobs csv_path plot_dir
-      check_baseline dir manifest_out =
+      manifest_out =
     set_jobs jobs;
     let handle = Experiments.Manifest.start ~command:("reproduce " ^ target) () in
     let entry = resolve_figure target in
     let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
-    (* One sweep execution feeds the printed table, the optional plot
-       files and the optional baseline check: the registry's sweeps are
-       shared lazies. *)
+    (* One sweep execution feeds the printed table and the optional plot
+       files: the registry's sweeps are shared lazies. *)
     let sweeps = Registry.sweeps scale in
     (match (plot_dir, entry.Registry.plot) with
     | None, _ -> ()
@@ -670,33 +615,21 @@ let reproduce_cmd =
             | Registry.Line _ -> ())
           report)
       csv_path;
-    let drifted =
-      if not check_baseline then false
-      else
-        match check_target ~dir sweeps target with
-        | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          true
-        | Ok report ->
-          Format.printf "%a@." Obs.Baseline.pp_report report;
-          not (Obs.Baseline.ok report)
-    in
     emit_manifest ~manifest_out ~handle ~seeds:(seeds_of_scale scale)
-      ~targets:[ target ] ();
-    if drifted then exit 1
+      ~targets:[ target ] ()
   in
   let term =
     Term.(
       const action $ target $ peers $ aus $ quorum $ years $ runs $ seed $ jobs $ csv
-      $ plot $ check_baseline $ baseline_dir $ manifest_out)
+      $ plot $ manifest_out)
   in
   Cmd.v
     (Cmd.info "reproduce"
        ~doc:
          "Regenerate a figure or table from the paper's evaluation section, fanning \
           the sweep's independent runs out over --jobs worker domains; \
-          $(b,--check-baseline) then diffs the result against its pinned golden \
-          baseline. (Per-run tracing/metrics files are a $(b,run)-command feature.)")
+          $(b,diff-baseline) diffs it against its pinned golden baseline. (Per-run \
+          tracing/metrics files are a $(b,run)-command feature.)")
     term
 
 (* -- pin-baseline / diff-baseline commands ------------------------------ *)
@@ -758,8 +691,8 @@ let pin_baseline_cmd =
          "Run the paper-figure sweeps and pin their results as golden baseline \
           documents under --baseline-dir: per-figure series points and headline \
           metrics, each with a drift direction and tolerance, plus the scale \
-          fingerprint and pin provenance. Commit the pins; $(b,diff-baseline) and \
-          $(b,reproduce --check-baseline) gate against them.")
+          fingerprint and pin provenance. Commit the pins; $(b,diff-baseline) gates \
+          against them.")
     term
 
 let diff_baseline_cmd =
@@ -785,8 +718,22 @@ let diff_baseline_cmd =
     let handle = Experiments.Manifest.start ~command:"diff-baseline" () in
     let scale = Scenario.sized ~peers ~aus ~quorum ~years ~runs ~seed in
     let sweeps = Registry.sweeps scale in
+    (* Each target's fresh capture against its pin, or an error when
+       the pin is unreadable or absent. *)
     let results =
-      List.map (fun target -> (target, check_target ~dir sweeps target)) targets
+      List.map
+        (fun target ->
+          ( target,
+            match Obs.Baseline.load (Obs.Baseline.path ~dir target) with
+            | Error msg ->
+              Error
+                (Printf.sprintf "%s — pin it first with: lockss_sim pin-baseline %s" msg
+                   target)
+            | Ok pinned ->
+              Result.map
+                (fun current -> Obs.Baseline.compare ~baseline:pinned ~current)
+                (Registry.capture sweeps target) ))
+        targets
     in
     let ok_overall =
       List.for_all
@@ -1158,7 +1105,6 @@ let () =
              reproduce_cmd;
              pin_baseline_cmd;
              diff_baseline_cmd;
-             chaos_cmd;
              soak_cmd;
              check_trace_cmd;
              trace_convert_cmd;

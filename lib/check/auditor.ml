@@ -3,7 +3,7 @@ module Trace = Lockss.Trace
 type t = {
   params : Invariant.params;
   instances : (Invariant.t * Invariant.instance) list;
-  analyzer : Analyze.t;
+  ledger : Ledger.t;
   violations : Invariant.violation list ref;  (* newest first *)
   on_violation : (Invariant.violation -> unit) option ref;
   last_time : float ref;
@@ -34,7 +34,7 @@ let create ?(params = Invariant.default_params) ?only () =
   {
     params;
     instances;
-    analyzer = Analyze.create ();
+    ledger = Ledger.create ();
     violations;
     on_violation;
     last_time = ref 0.;
@@ -52,7 +52,7 @@ let feed t ~time event =
     ()
   | _ ->
     t.last_time := Float.max !(t.last_time) time;
-    Analyze.feed t.analyzer ~time event;
+    Ledger.feed t.ledger ~time event;
     List.iter (fun (_, inst) -> inst.Invariant.on_event ~time event) t.instances
 
 let record_violation t v =
@@ -76,7 +76,7 @@ let feed_record t ~line = function
 let finish ?metrics t =
   if not !(t.finished) then begin
     t.finished := true;
-    let ctx = { Invariant.ledger = Analyze.ledger t.analyzer; metrics } in
+    let ctx = { Invariant.ledger = t.ledger; metrics } in
     List.iter
       (fun (_, inst) -> inst.Invariant.at_end ~time:!(t.last_time) ctx)
       t.instances

@@ -24,7 +24,7 @@ val create : ?params:Invariant.params -> ?only:string list -> unit -> t
 val params : t -> Invariant.params
 
 (** Feed one event, in stream order. Also forwards the event to an
-    internal {!Analyze} so {!finish} can reconcile the ledger. *)
+    internal {!Ledger} so {!finish} can reconcile it with the metrics. *)
 val feed : t -> time:float -> Lockss.Trace.event -> unit
 
 (** [feed_record t ~line r] feeds record number [line] of a trace file.

@@ -35,7 +35,6 @@ type effort_role = Loyal | Adversary
 
 let roles = enum [ (Loyal, "loyal"); (Adversary, "adversary") ]
 let effort_role_to_string = to_string roles
-let effort_role_of_string = of_string roles
 
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
 
@@ -50,7 +49,6 @@ let phases =
     ]
 
 let effort_phase_to_string = to_string phases
-let effort_phase_of_string = of_string phases
 let all_effort_phases = List.map fst phases.tokens
 
 (* -- Admission paths ---------------------------------------------------- *)
@@ -77,7 +75,6 @@ let admission_paths =
     ]
 
 let admission_path_to_string = to_string admission_paths
-let admission_path_of_string = of_string admission_paths
 
 (* -- Reject reasons ------------------------------------------------------ *)
 
@@ -107,7 +104,6 @@ let reject_reasons =
     ]
 
 let reject_reason_to_string = to_string reject_reasons
-let reject_reason_of_string = of_string reject_reasons
 let all_reject_reasons = List.map fst reject_reasons.tokens
 
 type event =

@@ -46,7 +46,6 @@
 type effort_role = Loyal | Adversary
 
 val effort_role_to_string : effort_role -> string
-val effort_role_of_string : string -> effort_role option
 
 (** The protocol phase an effort charge belongs to:
     - [Admission]: a voter's consideration and introductory-proof
@@ -60,7 +59,6 @@ val effort_role_of_string : string -> effort_role option
 type effort_phase = Admission | Solicitation | Voting | Evaluation | Repair
 
 val effort_phase_to_string : effort_phase -> string
-val effort_phase_of_string : string -> effort_phase option
 
 (** All effort phases, in declaration order. *)
 val all_effort_phases : effort_phase list
@@ -81,7 +79,6 @@ val admission_path_of_decision :
   [ `Known of Grade.t | `Unknown | `Introduced ] -> admission_path
 
 val admission_path_to_string : admission_path -> string
-val admission_path_of_string : string -> admission_path option
 
 (** {2 Reject reasons}
 
@@ -112,7 +109,6 @@ type reject_reason =
   | Bad_block
 
 val reject_reason_to_string : reject_reason -> string
-val reject_reason_of_string : string -> reject_reason option
 
 (** All reject reasons, in declaration order. *)
 val all_reject_reasons : reject_reason list

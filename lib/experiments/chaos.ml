@@ -1,5 +1,4 @@
 module Duration = Repro_prelude.Duration
-module Table = Repro_prelude.Table
 module Faults = Narses.Faults
 module Engine = Narses.Engine
 
@@ -64,143 +63,9 @@ let mix_json mix =
       ("fault_seed", Obs.Json.Int c.Faults.fault_seed);
     ]
 
-type fault_counts = {
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  corrupted : int;
-  replayed : int;
-  stale : int;
-  stray : int;
-  crashes : int;
-  restarts : int;
-}
-
-type check = { name : string; ok : bool; detail : string }
-
-type report = {
-  checks : check list;
-  faulty : Lockss.Metrics.summary;
-  fault_free : Lockss.Metrics.summary;
-  comparison : Scenario.comparison;
-  faults : fault_counts;
-}
-
-let all_green r = List.for_all (fun c -> c.ok) r.checks
-
 (* Far above any legitimate run at these scales (the bench scale fires a
    few million events); only a genuine livelock can exhaust it. *)
 let event_budget = 50_000_000
-
-(* -- Invariants --------------------------------------------------------- *)
-
-let check_no_stuck_poll population =
-  let ctx = Lockss.Population.ctx population in
-  let now = Engine.now (Lockss.Population.engine population) in
-  let limit = 2. *. ctx.Lockss.Peer.cfg.Lockss.Config.inter_poll_interval in
-  let stuck = ref [] in
-  Array.iter
-    (fun (peer : Lockss.Peer.t) ->
-      Array.iter
-        (fun (st : Lockss.Peer.au_state) ->
-          match st.Lockss.Peer.current_poll with
-          | Some poll when now -. poll.Lockss.Peer.started_at > limit ->
-            stuck :=
-              Printf.sprintf "peer %d au %d (age %.1f d)" peer.Lockss.Peer.identity
-                st.Lockss.Peer.au
-                ((now -. poll.Lockss.Peer.started_at) /. Duration.day)
-              :: !stuck
-          | _ -> ())
-        peer.Lockss.Peer.aus)
-    ctx.Lockss.Peer.peers;
-  {
-    name = "no stuck poll";
-    ok = !stuck = [];
-    detail =
-      (match !stuck with
-      | [] -> "every in-flight poll is younger than 2 inter-poll intervals"
-      | l -> Printf.sprintf "%d polls stuck: %s" (List.length l) (String.concat "; " l));
-  }
-
-let check_pending_growth ~pending_mid ~pending_end =
-  (* Leaked (never-cancelled, never-fired) timers accumulate linearly
-     with poll count, so the steady-state pending population must not
-     grow materially between the run's midpoint and its end. *)
-  let allowance = max 64 (pending_mid / 2) in
-  {
-    name = "no leaked timeouts";
-    ok = pending_end - pending_mid <= allowance;
-    detail =
-      Printf.sprintf "pending events mid-run %d, end %d (allowed growth %d)" pending_mid
-        pending_end allowance;
-  }
-
-let check_conservation population ~dups ~pending_end =
-  let ctx = Lockss.Population.ctx population in
-  let net = ctx.Lockss.Peer.net in
-  let sent = Narses.Net.sent_count net in
-  let delivered = Narses.Net.delivered_count net in
-  let dropped = Narses.Net.dropped_count net in
-  let injected = Narses.Net.injected_count net in
-  (* Every copy a send produced (one per send, plus one per duplication,
-     plus one per replay/stale re-injection from the delivery ring) is
-     eventually delivered, dropped, or still scheduled in the engine. *)
-  let in_flight = sent + dups + injected - delivered - dropped in
-  {
-    name = "message conservation";
-    ok = in_flight >= 0 && in_flight <= pending_end;
-    detail =
-      Printf.sprintf
-        "sent %d + dup %d + injected %d = delivered %d + dropped %d + in-flight %d" sent
-        dups injected delivered dropped in_flight;
-  }
-
-let check_churn_accounting injector =
-  let crashes = Faults.crash_count injector in
-  let restarts = Faults.restart_count injector in
-  let down = Faults.down_count injector in
-  {
-    name = "churn accounting";
-    ok = crashes = restarts + down;
-    detail = Printf.sprintf "crashes %d = restarts %d + still down %d" crashes restarts down;
-  }
-
-let check_leak_audit leaks =
-  {
-    name = "leak audit";
-    ok = leaks = [];
-    detail =
-      (match leaks with
-      | [] -> "engine live timers reconcile with protocol owner state"
-      | v :: _ ->
-        Printf.sprintf "%d leak violations, first: %s" (List.length leaks)
-          v.Check.Invariant.detail);
-  }
-
-let check_liveness (faulty : Lockss.Metrics.summary) =
-  {
-    name = "liveness";
-    ok = faulty.Lockss.Metrics.polls_succeeded > 0;
-    detail =
-      Printf.sprintf "%d polls succeeded under faults" faulty.Lockss.Metrics.polls_succeeded;
-  }
-
-let check_degradation ~(fault_free : Lockss.Metrics.summary)
-    ~(faulty : Lockss.Metrics.summary) =
-  (* The protocol's retry and repair machinery should absorb moderate
-     fault mixes: damage may rise versus the perfect-network paired run,
-     but it must stay bounded — within an order of magnitude of the
-     fault-free level and below an absolute ceiling. *)
-  let base = fault_free.Lockss.Metrics.access_failure_probability in
-  let afp = faulty.Lockss.Metrics.access_failure_probability in
-  let bound = Float.max 0.05 (10. *. Float.max base 0.005) in
-  {
-    name = "bounded degradation";
-    ok = afp <= bound;
-    detail =
-      Printf.sprintf "access failure %.4f under faults vs %.4f fault-free (bound %.4f)"
-        afp base bound;
-  }
 
 (* -- One faulted seed ------------------------------------------------- *)
 
@@ -213,58 +78,35 @@ type seed_run = {
   audit : Check.Invariant.violation list;
   leaks : Check.Invariant.violation list;
   rejected_by_reason : (string * int) list;
-  faults : fault_counts;
 }
-
-let fault_counts f =
-  {
-    dropped = Faults.dropped_count f;
-    duplicated = Faults.duplicated_count f;
-    delayed = Faults.delayed_count f;
-    corrupted = Faults.corrupted_count f;
-    replayed = Faults.replayed_count f;
-    stale = Faults.stale_count f;
-    stray = Faults.stray_count f;
-    crashes = Faults.crash_count f;
-    restarts = Faults.restart_count f;
-  }
 
 (* A population built with a fault config always carries its injector. *)
 let injector population = Option.get (Lockss.Population.faults population)
 
-let run_seed ?check ?(attack = Scenario.No_attack) ~scale ~seed mix =
+let run_seed ?(auditor = Scenario.make_auditor) ?(attack = Scenario.No_attack) ~scale
+    ~seed mix =
   let faults = faults_config mix in
   Faults.validate faults;
   let cfg = { (Scenario.config scale) with Lockss.Config.faults = Some faults } in
   let population = Scenario.build ~cfg ~seed attack in
   let trace = Lockss.Population.trace population in
-  (* Only a checked run subscribes the auditor and the Debug-level
-     rejection tally, so an unchecked run builds no Debug event at all
-     when nothing else subscribes. *)
-  let auditor =
-    Option.map
-      (fun make ->
-        let auditor = make ~cfg () in
-        Check.Auditor.attach auditor trace;
-        auditor)
-      check
-  in
+  let auditor = auditor ~cfg () in
+  Check.Auditor.attach auditor trace;
   let by_reason = Hashtbl.create 16 in
-  if Option.is_some check then
-    Lockss.Trace.subscribe ~interest:Lockss.Trace.Debug trace (fun ~time:_ event ->
-        match event with
-        | Lockss.Trace.Message_rejected { reason; _ } ->
-          let key = Lockss.Trace.reject_reason_to_string reason in
-          Hashtbl.replace by_reason key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_reason key))
-        | _ -> ());
+  Lockss.Trace.subscribe ~interest:Lockss.Trace.Debug trace (fun ~time:_ event ->
+      match event with
+      | Lockss.Trace.Message_rejected { reason; _ } ->
+        let key = Lockss.Trace.reject_reason_to_string reason in
+        Hashtbl.replace by_reason key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt by_reason key))
+      | _ -> ());
   let engine = Lockss.Population.engine population in
   let horizon = Duration.of_years scale.Scenario.years in
   let pending_mid = ref 0 in
   let handler_exn =
-    (* An exception escaping a handler is what the fault harnesses exist
-       to catch: keep it as the run's result instead of unwinding past
-       the audits. *)
+    (* An exception escaping a handler is what the harness exists to
+       catch: keep it as the run's result instead of unwinding past the
+       audits. *)
     try
       Lockss.Population.run ~max_events:event_budget population ~until:(horizon /. 2.);
       pending_mid := Engine.pending engine;
@@ -273,13 +115,7 @@ let run_seed ?check ?(attack = Scenario.No_attack) ~scale ~seed mix =
     with exn -> Some exn
   in
   let summary = Lockss.Population.summary population in
-  let audit =
-    match auditor with
-    | None -> []
-    | Some auditor ->
-      Check.Auditor.finish ~metrics:summary auditor;
-      Check.Auditor.violations auditor
-  in
+  Check.Auditor.finish ~metrics:summary auditor;
   let leaks =
     (* A crashed run leaves arbitrary mid-flight state; the exception is
        already the failure, so only quiescent runs are leak-audited. *)
@@ -293,72 +129,118 @@ let run_seed ?check ?(attack = Scenario.No_attack) ~scale ~seed mix =
     pending_mid = !pending_mid;
     pending_end = Engine.pending engine;
     handler_exn;
-    audit;
+    audit = Check.Auditor.violations auditor;
     leaks;
     rejected_by_reason =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_reason [] |> List.sort compare;
-    faults = fault_counts (injector population);
   }
 
-(* -- The paired chaos run ----------------------------------------------- *)
+(* -- The harness checks --------------------------------------------------
 
-let run ?(scale = Scenario.bench) ?(attack = Scenario.No_attack) mix =
-  (* The faulted run and its fault-free pair share nothing (each builds
-     its own population from the seed), so they run on two domains when
-     available; results are deterministic either way. *)
-  let r, fault_free =
-    Runner.both
-      (fun () -> run_seed ~attack ~scale ~seed:scale.Scenario.seed mix)
-      (fun () ->
-        Scenario.run_one
-          ~cfg:{ (Scenario.config scale) with Lockss.Config.faults = None }
-          ~seed:scale.Scenario.seed ~years:scale.Scenario.years attack)
-  in
-  Option.iter raise r.handler_exn;
-  let faulty = r.summary in
-  let checks =
-    [
-      check_liveness faulty;
-      check_no_stuck_poll r.population;
-      check_pending_growth ~pending_mid:r.pending_mid ~pending_end:r.pending_end;
-      check_conservation r.population ~dups:r.faults.duplicated
-        ~pending_end:r.pending_end;
-      check_churn_accounting (injector r.population);
-      check_leak_audit r.leaks;
-      check_degradation ~fault_free ~faulty;
-    ]
-  in
+   Each takes a quiescent seed run and its fault-free pair, and returns
+   its violations (none when the check holds). *)
+
+let violation r ?peer ?au ?poll_id invariant detail =
   {
-    checks;
-    faulty;
-    fault_free;
-    comparison = Scenario.ratios ~baseline:fault_free ~attack:faulty;
-    faults = r.faults;
+    Check.Invariant.invariant;
+    severity = Check.Invariant.Error;
+    time = Engine.now (Lockss.Population.engine r.population);
+    peer;
+    au;
+    poll_id;
+    detail;
   }
 
-let pp_report ppf (r : report) =
-  let f = r.faults in
-  Format.fprintf ppf
-    "Chaos run: %d faults injected (%d drops, %d dups, %d delays, %d corruptions, %d \
-     replays, %d stales, %d strays), %d crashes, %d restarts@."
-    (f.dropped + f.duplicated + f.delayed + f.corrupted + f.replayed + f.stale + f.stray)
-    f.dropped f.duplicated f.delayed f.corrupted f.replayed f.stale f.stray f.crashes
-    f.restarts;
-  Format.fprintf ppf
-    "  polls: %d ok / %d inquorate / %d alarmed under faults; %d ok fault-free@."
-    r.faulty.Lockss.Metrics.polls_succeeded r.faulty.Lockss.Metrics.polls_inquorate
-    r.faulty.Lockss.Metrics.polls_alarmed r.fault_free.Lockss.Metrics.polls_succeeded;
-  Format.fprintf ppf "  delay ratio %.2f, friction %.2f@." r.comparison.Scenario.delay_ratio
-    r.comparison.Scenario.friction;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "  [%s] %-20s %s@." (if c.ok then "PASS" else "FAIL") c.name
-        c.detail)
-    r.checks;
-  Format.fprintf ppf "  %s@."
-    (if all_green r then "all invariants green" else "INVARIANT VIOLATION")
+let stuck_poll r ~fault_free:_ =
+  let ctx = Lockss.Population.ctx r.population in
+  let now = Engine.now (Lockss.Population.engine r.population) in
+  let limit = 2. *. ctx.Lockss.Peer.cfg.Lockss.Config.inter_poll_interval in
+  Array.to_list ctx.Lockss.Peer.peers
+  |> List.concat_map (fun (peer : Lockss.Peer.t) ->
+         Array.to_list peer.Lockss.Peer.aus
+         |> List.filter_map (fun (st : Lockss.Peer.au_state) ->
+                match st.Lockss.Peer.current_poll with
+                | Some poll when now -. poll.Lockss.Peer.started_at > limit ->
+                  Some
+                    (violation r ~peer:peer.Lockss.Peer.identity ~au:st.Lockss.Peer.au
+                       ~poll_id:poll.Lockss.Peer.poll_id "stuck-poll"
+                       (Printf.sprintf "in flight for %.1f d, limit %.1f d"
+                          ((now -. poll.Lockss.Peer.started_at) /. Duration.day)
+                          (limit /. Duration.day)))
+                | _ -> None))
 
-(* -- The multi-seed soak ------------------------------------------------ *)
+let pending_growth r ~fault_free:_ =
+  (* Leaked (never-cancelled, never-fired) timers accumulate linearly
+     with poll count, so the steady-state pending population must not
+     grow materially between the run's midpoint and its end. *)
+  let allowance = max 64 (r.pending_mid / 2) in
+  if r.pending_end - r.pending_mid <= allowance then []
+  else
+    [
+      violation r "pending-growth"
+        (Printf.sprintf "pending events mid-run %d, end %d (allowed growth %d)"
+           r.pending_mid r.pending_end allowance);
+    ]
+
+let message_conservation r ~fault_free:_ =
+  let net = (Lockss.Population.ctx r.population).Lockss.Peer.net in
+  let sent = Narses.Net.sent_count net in
+  let dups = Faults.duplicated_count (injector r.population) in
+  let injected = Narses.Net.injected_count net in
+  let delivered = Narses.Net.delivered_count net in
+  let dropped = Narses.Net.dropped_count net in
+  (* Every copy a send produced (one per send, plus one per duplication,
+     plus one per replay/stale re-injection from the delivery ring) is
+     eventually delivered, dropped, or still scheduled in the engine. *)
+  let in_flight = sent + dups + injected - delivered - dropped in
+  if in_flight >= 0 && in_flight <= r.pending_end then []
+  else
+    [
+      violation r "message-conservation"
+        (Printf.sprintf
+           "sent %d + dup %d + injected %d = delivered %d + dropped %d + in-flight %d \
+            (pending %d)"
+           sent dups injected delivered dropped in_flight r.pending_end);
+    ]
+
+let churn_accounting r ~fault_free:_ =
+  let f = injector r.population in
+  let crashes = Faults.crash_count f in
+  let restarts = Faults.restart_count f in
+  let down = Faults.down_count f in
+  if crashes = restarts + down then []
+  else
+    [
+      violation r "churn-accounting"
+        (Printf.sprintf "crashes %d = restarts %d + still down %d" crashes restarts down);
+    ]
+
+let degradation r ~(fault_free : Lockss.Metrics.summary) =
+  (* The protocol's retry and repair machinery should absorb moderate
+     fault mixes: damage may rise versus the perfect-network paired run,
+     but it must stay bounded — within an order of magnitude of the
+     fault-free level and below an absolute ceiling. *)
+  let base = fault_free.Lockss.Metrics.access_failure_probability in
+  let afp = r.summary.Lockss.Metrics.access_failure_probability in
+  let bound = Float.max 0.05 (10. *. Float.max base 0.005) in
+  if afp <= bound then []
+  else
+    [
+      violation r "degradation"
+        (Printf.sprintf "access failure %.4f under faults vs %.4f fault-free (bound %.4f)"
+           afp base bound);
+    ]
+
+let checks =
+  [
+    ("stuck-poll", stuck_poll);
+    ("pending-growth", pending_growth);
+    ("message-conservation", message_conservation);
+    ("churn-accounting", churn_accounting);
+    ("degradation", degradation);
+  ]
+
+(* -- The soak ------------------------------------------------------------ *)
 
 type seed_report = {
   seed : int;
@@ -366,6 +248,7 @@ type seed_report = {
   rejected : int;
   rejected_by_reason : (string * int) list;
   injected : int;
+  checked : string list;
   violations : Check.Invariant.violation list;
   handler_exn : string option;
 }
@@ -377,25 +260,35 @@ let seed_clean s =
 
 let all_clean r = List.for_all seed_clean r.seeds
 
-let seed_report ~seed (r : seed_run) =
+let seed_report ~seed ~fault_free (r : seed_run) =
+  let f = injector r.population in
+  let checks = if Option.is_none r.handler_exn then checks else [] in
   {
     seed;
     polls_succeeded = r.summary.Lockss.Metrics.polls_succeeded;
     rejected = List.fold_left (fun acc (_, n) -> acc + n) 0 r.rejected_by_reason;
     rejected_by_reason = r.rejected_by_reason;
-    injected = r.faults.corrupted + r.faults.replayed + r.faults.stale + r.faults.stray;
-    violations = r.audit @ r.leaks;
+    injected =
+      Faults.corrupted_count f + Faults.replayed_count f + Faults.stale_count f
+      + Faults.stray_count f;
+    checked = List.map fst checks;
+    violations =
+      r.audit @ r.leaks @ List.concat_map (fun (_, check) -> check r ~fault_free) checks;
     handler_exn = Option.map Printexc.to_string r.handler_exn;
   }
 
-let soak ?(scale = Scenario.bench) ?attack ~seeds mix =
+let soak ?(scale = Scenario.bench) ?(attack = Scenario.No_attack) ~seeds mix =
   (* Each seed is reduced to its report on its own worker, so no
-     population outlives its run. *)
+     population outlives its run; the fault-free pair runs first, so
+     the two populations are never alive together. *)
   let seeds =
     Runner.map
       (fun seed ->
-        seed_report ~seed
-          (run_seed ~check:Scenario.make_auditor ?attack ~scale ~seed mix))
+        let fault_free =
+          Scenario.run_one ~cfg:(Scenario.config scale) ~seed ~years:scale.Scenario.years
+            attack
+        in
+        seed_report ~seed ~fault_free (run_seed ~attack ~scale ~seed mix))
       seeds
   in
   { mix; years = scale.Scenario.years; seeds }
@@ -455,43 +348,3 @@ let soak_json r =
       ("seeds", Obs.Json.List (List.map seed_json r.seeds));
       ("clean", Obs.Json.Bool (all_clean r));
     ]
-
-(* -- Attack-under-faults ablation --------------------------------------- *)
-
-let stoppage_attack =
-  let interval = Lockss.Config.default.Lockss.Config.inter_poll_interval in
-  Scenario.Pipe_stoppage
-    { coverage = 0.4; duration = 3. *. interval; recuperation = interval }
-
-let ablation ?(scale = Scenario.bench) mix =
-  let cfg = Scenario.config scale in
-  let faulty_cfg = { cfg with Lockss.Config.faults = Some (faults_config mix) } in
-  let cells =
-    [
-      ("fault-free", cfg, Scenario.No_attack);
-      ("faults only", faulty_cfg, Scenario.No_attack);
-      ("stoppage only", cfg, stoppage_attack);
-      ("stoppage + faults", faulty_cfg, stoppage_attack);
-    ]
-  in
-  let rows =
-    Runner.map
-      (fun (label, run_cfg, attack) ->
-        let s =
-          Scenario.run_one ~cfg:run_cfg ~seed:scale.Scenario.seed
-            ~years:scale.Scenario.years attack
-        in
-        [
-          label;
-          Printf.sprintf "%.4f" s.Lockss.Metrics.access_failure_probability;
-          string_of_int s.Lockss.Metrics.polls_succeeded;
-          string_of_int s.Lockss.Metrics.polls_inquorate;
-          string_of_int s.Lockss.Metrics.polls_alarmed;
-        ])
-      cells
-  in
-  let table =
-    Table.create [ "condition"; "access failure"; "polls ok"; "inquorate"; "alarmed" ]
-  in
-  List.iter (Table.add_row table) rows;
-  table

@@ -1,42 +1,42 @@
-(** Chaos harness: run scenarios under injected faults and assert the
-    protocol's liveness and accounting invariants.
+(** The fault harness: run seeds under injected faults and hold each to
+    the invariants the paper takes for granted.
 
     The paper evaluates the protocol on a perfectly reliable substrate;
     this harness drives the same {!Scenario} configurations through
     {!Narses.Faults} mixes (message loss, latency jitter, duplication,
-    node churn) and checks what the paper takes for granted:
-
-    - {e liveness}: polls keep succeeding despite the fault mix;
-    - {e no stuck poll}: no in-flight poll older than two inter-poll
-      intervals at the end of the run;
-    - {e no leaked timeouts}: the engine's pending-event population does
-      not grow between the run's midpoint and its end;
-    - {e message conservation}: sent + duplicated + injected = delivered
-      + dropped + in-flight, with in-flight non-negative and bounded by
-      the pending queue;
-    - {e churn accounting}: crashes = restarts + nodes still down;
-    - {e leak audit}: the engine's live timers reconcile exactly with
-      the protocol state that owns them ({!Check.Leak});
-    - {e bounded degradation}: access-failure probability stays within an
-      order of magnitude of the fault-free paired run (same seed, same
-      attack), per the paper's paired-run methodology.
-
-    Runs are driven with an event budget ({!event_budget}) so a livelock
-    raises {!Narses.Engine.Event_limit_exceeded} instead of hanging.
-
-    The same faulted seed run ({!run_seed}) also drives the multi-seed
-    {!soak}: every fault shape on, the runtime invariant auditor
-    attached, and a seed that is clean only when
+    node churn, and the Byzantine content set: field corruption,
+    replay, stale delivery and stray injection). Each seed runs with
+    the runtime invariant auditor attached ({!run_seed}) and is clean
+    only when
 
     - the run completed without any handler raising;
-    - the auditor observed zero protocol-invariant violations;
-    - the leak audit found zero leaked timers, dangling event
-      references or lingering closed sessions;
-    - the run made progress (at least one poll succeeded).
+    - the run made progress (at least one poll succeeded);
+    - it has no {!Check.Invariant.violation}, where the violations are
+      the auditor's, then the leak audit's ({!Check.Leak}: no leaked
+      timer, dangling event reference or lingering closed session),
+      then the harness's own checks, by id:
+      - ["stuck-poll"] — one per in-flight poll older than two
+        inter-poll intervals at the end of the run;
+      - ["pending-growth"] — the engine's pending-event population grew
+        materially between the horizon's midpoint and its end (leaked
+        timeouts);
+      - ["message-conservation"] — sent + duplicated + injected =
+        delivered + dropped + in-flight fails, with in-flight
+        non-negative and bounded by the pending queue;
+      - ["churn-accounting"] — crashes = restarts + nodes still down
+        fails;
+      - ["degradation"] — access-failure probability exceeds an order
+        of magnitude of the fault-free paired run (same seed, same
+        attack), per the paper's paired-run methodology.
 
-    Every mutated, replayed, stale or stray message must therefore be
-    either rejected with a taxonomized [message_rejected] event or
-    absorbed without corrupting protocol state. *)
+    The leak audit and the harness's checks run only on a seed that
+    stopped cleanly: after a handler exception the exception is the
+    failure. Every mutated, replayed, stale or stray message must
+    therefore be either rejected with a taxonomized [message_rejected]
+    event or absorbed without corrupting protocol state.
+
+    Runs are driven with an event budget ({!event_budget}) so a livelock
+    raises {!Narses.Engine.Event_limit_exceeded} instead of hanging. *)
 
 type mix = {
   loss : float;  (** per-copy drop probability *)
@@ -65,31 +65,6 @@ val faults_config : mix -> Narses.Faults.config
     mix. *)
 val mix_json : mix -> Obs.Json.t
 
-(** What the injector did during one run. *)
-type fault_counts = {
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  corrupted : int;
-  replayed : int;
-  stale : int;
-  stray : int;
-  crashes : int;
-  restarts : int;
-}
-
-type check = { name : string; ok : bool; detail : string }
-
-type report = {
-  checks : check list;
-  faulty : Lockss.Metrics.summary;  (** the run under the fault mix *)
-  fault_free : Lockss.Metrics.summary;  (** paired run, faults off *)
-  comparison : Scenario.comparison;  (** faulty vs fault-free ratios *)
-  faults : fault_counts;  (** injected into the faulty run *)
-}
-
-val all_green : report -> bool
-
 (** The livelock backstop of {!run_seed}: far above any legitimate run
     at these scales (the bench scale fires a few million events), so
     only a genuine livelock exhausts it. *)
@@ -98,49 +73,37 @@ val event_budget : int
 (** {2 One faulted seed} *)
 
 type seed_run = {
-  population : Lockss.Population.t;  (** as the run left it *)
+  population : Lockss.Population.t;  (** as the run left it, injector included *)
   summary : Lockss.Metrics.summary;
   pending_mid : int;  (** engine pending events at the horizon's midpoint *)
   pending_end : int;  (** ... and at its end *)
   handler_exn : exn option;  (** exception escaping the run, if any *)
-  audit : Check.Invariant.violation list;  (** auditor verdict; [[]] unchecked *)
+  audit : Check.Invariant.violation list;  (** the auditor's verdict *)
   leaks : Check.Invariant.violation list;
       (** {!Check.Leak} findings; [[]] after a handler exception *)
   rejected_by_reason : (string * int) list;
-      (** [message_rejected] events by reason, sorted; [[]] unchecked *)
-  faults : fault_counts;
+      (** [message_rejected] events by reason, sorted *)
 }
 
-(** [run_seed ?check ?attack ~scale ~seed mix] is the one faulted seed
-    run of both harnesses. It validates [mix] (raising
-    [Invalid_argument]), builds the scale's configuration with the mix
-    injected, builds the population, runs it to the horizon's midpoint
-    and then to its end under {!event_budget}, and catches any handler
-    exception as [handler_exn]. The summary is taken either way; a run
-    that stopped cleanly is then leak-audited, and the fault counters
-    are snapshot last.
-
-    With [check], an auditor [check ~cfg ()] (typically
-    {!Scenario.make_auditor}) and a rejection tally subscribe before the
-    run; without it nothing extra subscribes, and the run is the same
-    event for event. Default attack: none. *)
+(** [run_seed ?auditor ?attack ~scale ~seed mix] is the harness's one
+    faulted seed run. It validates [mix] (raising [Invalid_argument]),
+    builds the scale's configuration with the mix injected, builds the
+    population, subscribes [auditor ~cfg ()] (default
+    {!Scenario.make_auditor}) and a rejection tally, runs to the
+    horizon's midpoint and then to its end under {!event_budget}, and
+    catches any handler exception as [handler_exn]. The summary is
+    taken either way; a run that stopped cleanly is then leak-audited.
+    Auditing only observes: the summary equals {!Scenario.run_one}'s
+    on the same faulted configuration. Default attack: none. *)
 val run_seed :
-  ?check:(cfg:Lockss.Config.t -> unit -> Check.Auditor.t) ->
+  ?auditor:(cfg:Lockss.Config.t -> unit -> Check.Auditor.t) ->
   ?attack:Scenario.attack ->
   scale:Scenario.scale ->
   seed:int ->
   mix ->
   seed_run
 
-(** {2 Harnesses} *)
-
-(** [run ?scale ?attack mix] executes {!run_seed} unchecked at
-    [scale.seed], pairs it with the fault-free run of the same seed, and
-    evaluates every invariant; a handler exception is re-raised.
-    Defaults: {!Scenario.bench}, no attack. *)
-val run : ?scale:Scenario.scale -> ?attack:Scenario.attack -> mix -> report
-
-val pp_report : Format.formatter -> report -> unit
+(** {2 The soak} *)
 
 type seed_report = {
   seed : int;
@@ -148,7 +111,11 @@ type seed_report = {
   rejected : int;  (** [message_rejected] events observed *)
   rejected_by_reason : (string * int) list;  (** taxonomy breakdown, sorted *)
   injected : int;  (** corruption + replay + stale + stray injections *)
-  violations : Check.Invariant.violation list;  (** auditor then leak audit *)
+  checked : string list;
+      (** the harness check ids evaluated, in order; [[]] after a
+          handler exception *)
+  violations : Check.Invariant.violation list;
+      (** auditor, then leak audit, then the harness checks *)
   handler_exn : string option;  (** exception escaping the run, if any *)
 }
 
@@ -158,19 +125,21 @@ type soak_report = {
   seeds : seed_report list;  (** in seed order *)
 }
 
-(** [seed_report ~seed r] reduces a checked {!run_seed} to its soak
-    verdict. *)
-val seed_report : seed:int -> seed_run -> seed_report
+(** [seed_report ~seed ~fault_free r] reduces {!run_seed}'s result to
+    its soak verdict, evaluating the harness checks against the
+    fault-free paired run's summary [fault_free]. *)
+val seed_report : seed:int -> fault_free:Lockss.Metrics.summary -> seed_run -> seed_report
 
 (** A seed is clean per the criteria above. *)
 val seed_clean : seed_report -> bool
 
 val all_clean : soak_report -> bool
 
-(** [soak ?scale ?attack ~seeds mix] runs {!run_seed} checked with
-    {!Scenario.make_auditor} at each of [seeds], fanned out over the
-    {!Runner} pool; results are deterministic per seed. Defaults:
-    {!Scenario.bench} scale, no attack. *)
+(** [soak ?scale ?attack ~seeds mix] runs each of [seeds] through
+    {!run_seed} and its fault-free {!Scenario.run_one} pair, fanned out
+    over the {!Runner} pool; results are deterministic per seed and
+    independent of the worker count. Defaults: {!Scenario.bench} scale,
+    no attack. *)
 val soak :
   ?scale:Scenario.scale -> ?attack:Scenario.attack -> seeds:int list -> mix -> soak_report
 
@@ -179,8 +148,3 @@ val pp_soak : Format.formatter -> soak_report -> unit
 (** Machine-readable soak report; the violation entries reuse
     {!Check.Invariant.violation_to_json}. *)
 val soak_json : soak_report -> Obs.Json.t
-
-(** [ablation ?scale mix] crosses faults with a pipe-stoppage attack:
-    fault-free / faults only / stoppage only / stoppage + faults, one
-    table row each (access failure and poll outcomes). *)
-val ablation : ?scale:Scenario.scale -> mix -> Repro_prelude.Table.t

@@ -373,10 +373,56 @@ let extensions =
         Table (Extensions.diversity_table diversity);
       ])
 
+let fault_ablation =
+  experiment "fault-ablation"
+    ~title:"Faults x attack: the acceptance fault mix crossed with a pipe stoppage"
+    ~notes:
+      [
+        "The paper's substrate is perfectly reliable; a network-level attack must be";
+        "intense, wide-spread and prolonged to impair the system. Each row is one";
+        "seed: fault-free, faults only, stoppage only, stoppage under faults.";
+      ]
+    (fun scale ->
+      let cfg = Scenario.config scale in
+      let faulty =
+        { cfg with Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix) }
+      in
+      let interval = Lockss.Config.default.Lockss.Config.inter_poll_interval in
+      let stoppage =
+        Scenario.Pipe_stoppage
+          { coverage = 0.4; duration = 3. *. interval; recuperation = interval }
+      in
+      let rows =
+        Runner.map
+          (fun (label, cfg, attack) ->
+            let s =
+              Scenario.run_one ~cfg ~seed:scale.Scenario.seed ~years:scale.Scenario.years
+                attack
+            in
+            [
+              label;
+              Printf.sprintf "%.4f" s.Lockss.Metrics.access_failure_probability;
+              string_of_int s.Lockss.Metrics.polls_succeeded;
+              string_of_int s.Lockss.Metrics.polls_inquorate;
+              string_of_int s.Lockss.Metrics.polls_alarmed;
+            ])
+          [
+            ("fault-free", cfg, Scenario.No_attack);
+            ("faults only", faulty, Scenario.No_attack);
+            ("stoppage only", cfg, stoppage);
+            ("stoppage + faults", faulty, stoppage);
+          ]
+      in
+      let table =
+        Table.create [ "condition"; "access failure"; "polls ok"; "inquorate"; "alarmed" ]
+      in
+      List.iter (Table.add_row table) rows;
+      [ Table table ])
+
 let all =
   (fig2 :: stoppage_figures)
   @ admission_figures
-  @ [ table1; ablate; subversion; reciprocity; extensions ]
+  @ [ table1; ablate; subversion; reciprocity; extensions; fault_ablation ]
 
 let pinned = List.filter (fun e -> Option.is_some e.pins) all
 let unpinned = List.filter (fun e -> Option.is_none e.pins) all

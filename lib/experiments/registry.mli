@@ -1,12 +1,12 @@
 (** The paper's evaluation, declared once: every experiment in
     reproduce order — [fig2] … [fig8], [table1], then [ablate],
-    [subversion], [reciprocity] and [extensions].
+    [subversion], [reciprocity], [extensions] and [fault-ablation].
 
     Each entry names its title, the paper's reference values, the report
     it renders (tables plus any reference lines), its gnuplot writer
     for figures, and the metrics it pins for the figures and table the
     golden baselines under [baselines/] hold. [reproduce],
-    [pin-baseline], [diff-baseline], the four experiment subcommands and
+    [pin-baseline], [diff-baseline], the five experiment subcommands and
     the bench report are lookups in {!all} or loops over it.
 
     Sweeps are shared: fig3/4/5 read the same pipe-stoppage sweep and

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection layer (Narses.Faults), its wiring into
    Net and Population (crash/restart semantics, duplicate-delivery
-   idempotence), the engine's event budget, and the chaos harness
-   invariants — including fault-trace determinism. *)
+   idempotence), the engine's event budget, fault-trace determinism,
+   and the fault harness's checks. *)
 
 module Rng = Repro_prelude.Rng
 module Duration = Repro_prelude.Duration
@@ -349,57 +349,90 @@ let test_fault_seed_changes_trace () =
   let trace2, _ = traced_run ~fault_seed:8 () in
   Alcotest.(check bool) "different fault seeds diverge" false (String.equal trace1 trace2)
 
-(* -- The chaos harness --------------------------------------------------- *)
-
-let test_chaos_harness_all_green () =
-  let scale = { micro with Scenario.years = 1.; seed = 3 } in
-  let report = Chaos.run ~scale Chaos.default_mix in
-  Alcotest.(check int) "seven invariants evaluated" 7 (List.length report.Chaos.checks);
-  List.iter
-    (fun (c : Chaos.check) ->
-      Alcotest.(check bool) (c.Chaos.name ^ " — " ^ c.Chaos.detail) true c.Chaos.ok)
-    report.Chaos.checks;
-  Alcotest.(check bool) "harness agrees it is green" true (Chaos.all_green report);
-  Alcotest.(check bool) "no-stuck-poll invariant present" true
-    (List.exists (fun (c : Chaos.check) -> c.Chaos.name = "no stuck poll") report.Chaos.checks);
-  Alcotest.(check bool) "faults were actually injected" true
-    (report.Chaos.faults.dropped > 0
-    && report.Chaos.faults.duplicated > 0
-    && report.Chaos.faults.delayed > 0);
-  Alcotest.(check bool) "content faults were actually injected" true
-    (report.Chaos.faults.corrupted > 0
-    && report.Chaos.faults.replayed > 0
-    && report.Chaos.faults.stale > 0
-    && report.Chaos.faults.stray > 0);
-  Alcotest.(check bool) "leak audit invariant present" true
-    (List.exists (fun (c : Chaos.check) -> c.Chaos.name = "leak audit") report.Chaos.checks)
-
-(* -- The shared faulted-seed run ------------------------------------------ *)
+(* -- The fault harness ---------------------------------------------------- *)
 
 let harness_scale = { micro with Scenario.years = 1.; seed = 3 }
 
-(* Auditing only observes: the same faulted seed, checked and unchecked,
-   must be the same run. This is what lets the chaos paired run (which
-   runs unchecked) and the soak (which runs checked) share one loop. *)
-let test_checked_run_matches_unchecked () =
-  let run ?check () =
-    Chaos.run_seed ?check ~scale:harness_scale ~seed:3 Chaos.default_mix
+let fault_free ~seed =
+  Scenario.run_one ~cfg:(Scenario.config harness_scale) ~seed
+    ~years:harness_scale.Scenario.years Scenario.No_attack
+
+let harness_checks =
+  [ "stuck-poll"; "pending-growth"; "message-conservation"; "churn-accounting"; "degradation" ]
+
+(* The acceptance mix at the soak smoke's seed 3: every harness check is
+   evaluated and holds, the auditor and the leak audit are clean, and
+   faults of every shape were injected. *)
+let test_chaos_harness_all_green () =
+  let r = Chaos.run_seed ~scale:harness_scale ~seed:3 Chaos.default_mix in
+  let report = Chaos.seed_report ~seed:3 ~fault_free:(fault_free ~seed:3) r in
+  Alcotest.(check (list string)) "every harness check evaluated" harness_checks
+    report.Chaos.checked;
+  Alcotest.(check (list string)) "no violation" []
+    (List.map (Format.asprintf "%a" Check.Invariant.pp_violation) report.Chaos.violations);
+  Alcotest.(check bool) "seed clean" true (Chaos.seed_clean report);
+  let f = Option.get (Lockss.Population.faults r.Chaos.population) in
+  Alcotest.(check bool) "transport faults were actually injected" true
+    (Faults.dropped_count f > 0 && Faults.duplicated_count f > 0 && Faults.delayed_count f > 0);
+  Alcotest.(check bool) "content faults were actually injected" true
+    (Faults.corrupted_count f > 0
+    && Faults.replayed_count f > 0
+    && Faults.stale_count f > 0
+    && Faults.stray_count f > 0);
+  Alcotest.(check bool) "churn was actually injected" true (Faults.crash_count f > 0)
+
+(* Each harness check fires on a seed run doctored to break it. *)
+let test_harness_checks_fire () =
+  let r = Chaos.run_seed ~scale:harness_scale ~seed:3 Chaos.default_mix in
+  let fired (r : Chaos.seed_run) =
+    List.map
+      (fun v -> v.Check.Invariant.invariant)
+      (Chaos.seed_report ~seed:3 ~fault_free:(fault_free ~seed:3) r).Chaos.violations
   in
-  let plain = run () in
-  let checked = run ~check:Scenario.make_auditor () in
-  Alcotest.(check bool) "equal summaries" true
-    (compare plain.Chaos.summary checked.Chaos.summary = 0);
-  Alcotest.(check bool) "equal fault counters" true
-    (plain.Chaos.faults = checked.Chaos.faults);
-  Alcotest.(check int) "equal mid-run pending" plain.Chaos.pending_mid
-    checked.Chaos.pending_mid;
-  Alcotest.(check int) "equal end pending" plain.Chaos.pending_end
-    checked.Chaos.pending_end;
-  Alcotest.(check bool) "both stopped cleanly" true
-    (plain.Chaos.handler_exn = None && checked.Chaos.handler_exn = None);
-  Alcotest.(check int) "checked run audits clean" 0 (List.length checked.Chaos.audit);
-  Alcotest.(check bool) "only the checked run tallies rejections" true
-    (plain.Chaos.rejected_by_reason = [] && checked.Chaos.rejected_by_reason <> [])
+  Alcotest.(check (list string)) "pending growth" [ "pending-growth" ]
+    (fired { r with Chaos.pending_end = (2 * r.Chaos.pending_mid) + 65 });
+  Alcotest.(check (list string)) "message conservation" [ "message-conservation" ]
+    (fired { r with Chaos.pending_end = -1 });
+  Alcotest.(check (list string)) "degradation" [ "degradation" ]
+    (fired
+       {
+         r with
+         Chaos.summary =
+           { r.Chaos.summary with Lockss.Metrics.access_failure_probability = 1. };
+       });
+  let peer, st, poll =
+    Array.to_list (Lockss.Population.ctx r.Chaos.population).Lockss.Peer.peers
+    |> List.concat_map (fun (peer : Lockss.Peer.t) ->
+           Array.to_list peer.Lockss.Peer.aus
+           |> List.filter_map (fun (st : Lockss.Peer.au_state) ->
+                  Option.map (fun poll -> (peer, st, poll)) st.Lockss.Peer.current_poll))
+    |> List.hd
+  in
+  st.Lockss.Peer.current_poll <- Some { poll with Lockss.Peer.started_at = 0. };
+  let stuck = Chaos.seed_report ~seed:3 ~fault_free:(fault_free ~seed:3) r in
+  match stuck.Chaos.violations with
+  | [ v ] ->
+    Alcotest.(check string) "stuck poll" "stuck-poll" v.Check.Invariant.invariant;
+    Alcotest.(check (option int)) "names its peer" (Some peer.Lockss.Peer.identity)
+      v.Check.Invariant.peer;
+    Alcotest.(check (option int)) "names its AU" (Some st.Lockss.Peer.au) v.Check.Invariant.au
+  | vs -> Alcotest.failf "expected one stuck-poll violation, got %d" (List.length vs)
+
+(* Auditing only observes: the harness's audited faulted seed is the
+   plain seeded run of the same faulted configuration. *)
+let test_faulted_seed_matches_run_one () =
+  let r = Chaos.run_seed ~scale:harness_scale ~seed:3 Chaos.default_mix in
+  let plain =
+    Scenario.run_one
+      ~cfg:
+        {
+          (Scenario.config harness_scale) with
+          Lockss.Config.faults = Some (Chaos.faults_config Chaos.default_mix);
+        }
+      ~seed:3 ~years:harness_scale.Scenario.years Scenario.No_attack
+  in
+  Alcotest.(check bool) "stopped cleanly" true (r.Chaos.handler_exn = None);
+  Alcotest.(check bool) "equal summaries" true (compare plain r.Chaos.summary = 0)
 
 (* The soak's dirty-seed path: an auditor whose refractory period is 100x
    the configured one sees every legitimate re-admission as a violation. *)
@@ -412,8 +445,8 @@ let test_soak_reports_dirty_seed () =
       ()
   in
   let dirty =
-    Chaos.seed_report ~seed:4
-      (Chaos.run_seed ~check:strict ~scale:harness_scale ~seed:4 Chaos.default_mix)
+    Chaos.seed_report ~seed:4 ~fault_free:(fault_free ~seed:4)
+      (Chaos.run_seed ~auditor:strict ~scale:harness_scale ~seed:4 Chaos.default_mix)
   in
   let clean = Chaos.soak ~scale:harness_scale ~seeds:[ 3 ] Chaos.default_mix in
   let report = { clean with Chaos.seeds = clean.Chaos.seeds @ [ dirty ] } in
@@ -521,7 +554,8 @@ let () =
       ( "harness",
         [
           quick "acceptance mix all green" test_chaos_harness_all_green;
-          quick "checked run matches unchecked" test_checked_run_matches_unchecked;
+          quick "harness checks fire" test_harness_checks_fire;
+          quick "faulted seed matches run_one" test_faulted_seed_matches_run_one;
           quick "soak reports a dirty seed" test_soak_reports_dirty_seed;
         ] );
     ]

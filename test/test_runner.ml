@@ -116,13 +116,20 @@ let test_stoppage_sweep_byte_identical () =
         serial parallel)
     [ 2; 4 ]
 
-let test_chaos_paired_run_byte_identical () =
+(* Each soak seed pairs a faulted run with its fault-free one on one
+   worker; the report must not depend on how seeds spread over workers. *)
+let test_soak_report_byte_identical () =
   let report () =
-    Format.asprintf "%a" Chaos.pp_report (Chaos.run ~scale:micro Chaos.default_mix)
+    Obs.Json.to_string
+      (Chaos.soak_json (Chaos.soak ~scale:micro ~seeds:[ 11; 12; 13 ] Chaos.default_mix))
   in
   let serial = with_jobs 1 report in
-  let parallel = with_jobs 2 report in
-  Alcotest.(check string) "chaos report identical" serial parallel
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "soak JSON identical (%d jobs)" jobs)
+        serial (with_jobs jobs report))
+    [ 2; 4 ]
 
 let test_run_all_and_spread_identical () =
   let cfg = Scenario.config micro in
@@ -283,7 +290,7 @@ let () =
       ( "determinism",
         [
           slow "stoppage sweep byte-identical" test_stoppage_sweep_byte_identical;
-          slow "chaos paired run byte-identical" test_chaos_paired_run_byte_identical;
+          slow "soak report byte-identical" test_soak_report_byte_identical;
           slow "run_all and run_spread identical" test_run_all_and_spread_identical;
         ] );
     ]

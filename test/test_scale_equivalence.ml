@@ -1,8 +1,9 @@
 (* Seeded equivalence battery for the population-representation layer.
 
    Every case below renders a seeded scenario to a byte-exact string
-   (summaries, chaos/soak reports, debug-trace digests) and compares its
-   MD5 against a pinned golden. The goldens were generated from the
+   (summaries, a faulted seed's counters, soak reports, debug-trace
+   digests, analyzer reports) and compares its MD5 against a pinned
+   golden. The goldens were generated from the
    list-based population representation, so any compact-representation
    change that perturbs an RNG draw sequence, a member ordering, or a
    trace line fails here byte-for-byte — this is the lock on the
@@ -122,17 +123,9 @@ let case_run_attack () =
   in
   summary_string (Scenario.run_one ~cfg ~seed:3 ~years:1.0 attack)
 
-(* Chaos at paper scale: the paired faulted/fault-free comparison plus
-   every invariant check verdict, rendered through the chaos report
-   printer. *)
-let case_chaos () =
-  let report =
-    Chaos.run ~scale:{ paper_short with Scenario.seed = 4 } Chaos.default_mix
-  in
-  Format.asprintf "%a" Chaos.pp_report report
-
 (* Soak at paper scale, two seeds: pins per-seed poll counts, rejection
-   histograms and auditor verdicts as JSON. *)
+   histograms and every violation (auditor, leak audit, harness checks)
+   as JSON. *)
 let case_soak () =
   let report =
     Chaos.soak ~scale:paper_short ~seeds:[ 1; 2 ] Chaos.default_mix
@@ -146,9 +139,7 @@ let case_soak () =
    violations — and the fault-free summary it is measured against. *)
 let case_faulted_seed () =
   let scale = { paper_short with Scenario.seed = 4 } in
-  let r =
-    Chaos.run_seed ~check:Scenario.make_auditor ~scale ~seed:4 Chaos.default_mix
-  in
+  let r = Chaos.run_seed ~scale ~seed:4 Chaos.default_mix in
   let f = Option.get (Lockss.Population.faults r.Chaos.population) in
   let net = (Lockss.Population.ctx r.Chaos.population).Lockss.Peer.net in
   let fault_free =
@@ -231,7 +222,6 @@ let cases =
     ("run-sparse-holdings", case_run_sparse_holdings);
     ("run-dormant", case_run_dormant);
     ("run-attack", case_run_attack);
-    ("chaos", case_chaos);
     ("soak", case_soak);
     ("run-trace-binary", case_run_trace_binary);
     ("analyze", case_analyze);
